@@ -2,7 +2,7 @@
 
 use crate::{Decision, MisRun};
 use congest_sim::{
-    run_auto, run_auto_observed, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundObserver, SendApi,
+    run, run_observed, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundObserver, SendApi,
     SimConfig, SimError,
 };
 use mis_graphs::Graph;
@@ -182,7 +182,7 @@ impl Protocol for LubyProtocol {
 /// Propagates [`SimError`] from the engine (notably the round cap if the
 /// protocol were to stall, which does not happen with high probability).
 pub fn luby(graph: &Graph, cfg: &SimConfig) -> Result<MisRun, SimError> {
-    let result = run_auto(graph, &LubyProtocol, cfg)?;
+    let result = run(graph, &LubyProtocol, cfg)?;
     Ok(MisRun::from_decisions(result, |s| s.decision))
 }
 
@@ -197,7 +197,7 @@ pub fn luby_observed(
     cfg: &SimConfig,
     observer: &mut dyn RoundObserver,
 ) -> Result<MisRun, SimError> {
-    let result = run_auto_observed(graph, &LubyProtocol, cfg, observer)?;
+    let result = run_observed(graph, &LubyProtocol, cfg, observer)?;
     Ok(MisRun::from_decisions(result, |s| s.decision))
 }
 

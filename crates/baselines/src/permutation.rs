@@ -2,7 +2,7 @@
 
 use crate::{Decision, MisRun};
 use congest_sim::{
-    run_auto, run_auto_observed, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundObserver, SendApi,
+    run, run_observed, Inbox, InitApi, NodeId, Protocol, RecvApi, RoundObserver, SendApi,
     SimConfig, SimError,
 };
 use mis_graphs::Graph;
@@ -156,7 +156,7 @@ impl Protocol for PermutationProtocol {
 ///
 /// Propagates [`SimError`] from the engine.
 pub fn permutation(graph: &Graph, cfg: &SimConfig) -> Result<MisRun, SimError> {
-    let result = run_auto(graph, &PermutationProtocol, cfg)?;
+    let result = run(graph, &PermutationProtocol, cfg)?;
     Ok(MisRun::from_decisions(result, |s| s.decision))
 }
 
@@ -171,7 +171,7 @@ pub fn permutation_observed(
     cfg: &SimConfig,
     observer: &mut dyn RoundObserver,
 ) -> Result<MisRun, SimError> {
-    let result = run_auto_observed(graph, &PermutationProtocol, cfg, observer)?;
+    let result = run_observed(graph, &PermutationProtocol, cfg, observer)?;
     Ok(MisRun::from_decisions(result, |s| s.decision))
 }
 

@@ -40,6 +40,7 @@
 //! rest, so a baseline recorded before a new section existed keeps
 //! gating.
 
+use mis_bench::json::{num_field, str_field};
 use std::process::ExitCode;
 
 /// One `workloads[]` row: the keys the gate compares on.
@@ -49,27 +50,6 @@ struct WorkloadRow {
     n: u64,
     rounds_per_sec: f64,
     messages_per_sec: f64,
-}
-
-/// Extracts the string value of `"key": "..."` from one JSON object
-/// body.
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = obj.find(&pat)? + pat.len();
-    let end = obj[start..].find('"')?;
-    Some(obj[start..start + end].to_string())
-}
-
-/// Extracts the numeric value of `"key": <number>` from one JSON object
-/// body.
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Parses the `"workloads": [...]` rows out of a `BENCH_engine.json`
@@ -87,7 +67,7 @@ fn parse_workloads(doc: &str) -> Option<Vec<WorkloadRow>> {
         let obj = &rest[open..=close];
         rows.push(WorkloadRow {
             family: str_field(obj, "family")?,
-            n: num_field(obj, "n")? as u64,
+            n: num_field(obj, "n")?,
             rounds_per_sec: num_field(obj, "rounds_per_sec")?,
             messages_per_sec: num_field(obj, "messages_per_sec")?,
         });
@@ -128,8 +108,8 @@ fn parse_thread_sweep(doc: &str) -> Option<Vec<SweepRow>> {
         let obj = &rest[open..=close];
         rows.push(SweepRow {
             family: str_field(obj, "family").or_else(|| section_family.clone())?,
-            n: num_field(obj, "n")? as u64,
-            threads: num_field(obj, "threads")? as u64,
+            n: num_field(obj, "n")?,
+            threads: num_field(obj, "threads")?,
             speedup_vs_sequential: num_field(obj, "speedup_vs_sequential")?,
         });
         rest = &rest[close + 1..];

@@ -9,12 +9,13 @@
 //!
 //! Since the sharded parallel engine landed, the emitter also runs a
 //! **thread sweep**: three workload families — G(n,p), d-regular, and
-//! the hub-skewed Barabási–Albert — through `run_parallel` at 1/2/4/8
+//! the hub-skewed Barabási–Albert — through `run` at 1/2/4/8
 //! workers, recording each entry's rounds/sec, messages/sec, achieved
 //! `cut_edge_fraction` (cut slots over directed edges, the partition
 //! quality the engine's overhead scales with), and its speedup over a
-//! sequential reference measured in the same process (the
-//! `thread_sweep` JSON section). The sweep also records
+//! `threads = 0` reference measured in the same process (the
+//! `thread_sweep` JSON section). Every thread count runs the same round
+//! loop, so the 1-worker entry compares that loop with itself. The sweep also records
 //! `available_parallelism`, because a speedup curve measured on fewer
 //! cores than workers says more about the host than the engine.
 //!
@@ -49,8 +50,7 @@
 //!   workers.
 
 use congest_sim::{
-    run, run_auto, EnergyHistogram, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi, SimConfig,
-    Telemetry,
+    run, EnergyHistogram, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi, SimConfig, Telemetry,
 };
 use mis_bench::{workload_ba, workload_gnp, workload_regular};
 use mis_graphs::Graph;
@@ -120,7 +120,7 @@ struct Row {
     secs: f64,
     /// Directed edge slots crossing shards over all directed edges —
     /// the partition quality achieved by this run's engine
-    /// configuration (`0` on the sequential engine).
+    /// configuration (`0` at one shard).
     cut_fraction: f64,
 }
 
@@ -157,7 +157,7 @@ fn measure_paired(family: &'static str, n: usize, g: &Graph, reps: usize) -> (Ro
     let rounds = ((1u64 << 22) / n as u64).max(8);
     let proto = Chatter { rounds };
     let cfg = SimConfig::seeded(1);
-    run_auto(
+    run(
         g,
         &Chatter {
             rounds: (rounds / 8).max(1),
@@ -172,12 +172,12 @@ fn measure_paired(family: &'static str, n: usize, g: &Graph, reps: usize) -> (Ro
         #[allow(clippy::disallowed_methods)]
         // lint:allow(det-wall-clock, reason = "throughput bench timing; wall seconds are the measurement, never an engine input")
         let start = Instant::now();
-        let r = run_auto(g, &proto, &cfg).expect("plain run");
+        let r = run(g, &proto, &cfg).expect("plain run");
         plain_secs = plain_secs.min(start.elapsed().as_secs_f64());
         #[allow(clippy::disallowed_methods)]
         // lint:allow(det-wall-clock, reason = "throughput bench timing; wall seconds are the measurement, never an engine input")
         let start = Instant::now();
-        let r2 = run_auto(g, &proto, &cfg).expect("priced run");
+        let r2 = run(g, &proto, &cfg).expect("priced run");
         std::hint::black_box(assemble_telemetry(&r2.metrics));
         priced_secs = priced_secs.min(start.elapsed().as_secs_f64());
         assert_eq!(r.metrics, r2.metrics, "same seed, same run");
@@ -216,7 +216,7 @@ fn measure_threads(
     let proto = Chatter { rounds };
     let cfg = SimConfig::seeded(1).with_threads(threads);
     // One warmup at an eighth of the rounds to fault in caches.
-    run_auto(
+    run(
         g,
         &Chatter {
             rounds: (rounds / 8).max(1),
@@ -230,7 +230,7 @@ fn measure_threads(
         #[allow(clippy::disallowed_methods)]
         // lint:allow(det-wall-clock, reason = "throughput bench timing; wall seconds are the measurement, never an engine input")
         let start = Instant::now();
-        let r = run_auto(g, &proto, &cfg).expect("measured run");
+        let r = run(g, &proto, &cfg).expect("measured run");
         if telemetry {
             // Price the enabled path: the artifact is built inside the
             // timed region, exactly as the runner does per run.
@@ -296,7 +296,7 @@ fn measure_sweep(
         .map(|&t| SimConfig::seeded(1).with_threads(t))
         .collect();
     for cfg in &cfgs {
-        run_auto(g, &warm, cfg).expect("warmup");
+        run(g, &warm, cfg).expect("warmup");
     }
     let mut secs = vec![f64::INFINITY; cfgs.len()];
     let mut results: Vec<Option<_>> = (0..cfgs.len()).map(|_| None).collect();
@@ -310,7 +310,7 @@ fn measure_sweep(
             #[allow(clippy::disallowed_methods)]
             // lint:allow(det-wall-clock, reason = "throughput bench timing; wall seconds are the measurement, never an engine input")
             let start = Instant::now();
-            let r = run_auto(g, &proto, cfg).expect("sweep run");
+            let r = run(g, &proto, cfg).expect("sweep run");
             if telemetry {
                 std::hint::black_box(assemble_telemetry(&r.metrics));
             }
@@ -409,7 +409,7 @@ fn main() {
         gnp_graphs.push((n, g));
     }
 
-    // Thread sweep: run_parallel at each worker count on all three
+    // Thread sweep: run at each worker count on all three
     // families — G(n,p), d-regular, and the hub-skewed Barabási–Albert
     // — each against a sequential reference measured in the same
     // process with the reps interleaved (see `measure_sweep`: a

@@ -37,9 +37,9 @@
 //!     scenario --algo alg1 --workload gnp:n=4096,deg=8 --trace trace.jsonl
 //! ```
 //!
-//! `--threads N` (also `--threads=N`; default 1; 0 = the sequential
-//! engine) runs every simulation on the sharded parallel engine with `N`
-//! workers; tables are bit-identical for any `N`. Scenario mode exits
+//! `--threads N` (also `--threads=N`; default 1; 0 and 1 = one shard on
+//! the calling thread) runs every simulation on `N` worker shards;
+//! tables are bit-identical for any `N`. Scenario mode exits
 //! non-zero if any run fails to produce a verified MIS — including runs
 //! where a lossy channel silently broke maximality or independence.
 //! `--channel <MODEL>` overrides the channel arm of every selected

@@ -22,33 +22,13 @@
 //! writer's own fixed compact-JSON shape (the workspace vendors no JSON
 //! dependency) and is unit-tested against that exact shape.
 
+use mis_bench::json::{num_field, str_field};
 use mis_bench::table::Table;
 use std::process::ExitCode;
 
 /// Schema version this tool understands (mirrors
 /// `congest_sim::TELEMETRY_SCHEMA_VERSION`).
 const SCHEMA_VERSION: u64 = 1;
-
-/// Extracts the string value of `"key":"..."` from one compact-JSON
-/// line.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// Extracts the numeric value of `"key":<number>` from one compact-JSON
-/// line.
-fn num_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// The record type of a trace line (the value of its leading `"type"`
 /// key), or `None` for a line that does not even have one.
@@ -93,7 +73,7 @@ fn parse_trace(doc: &str) -> Result<Vec<RunSummary>, String> {
         }
         match kind {
             "meta" => {
-                let version = num_field(line, "schema_version")
+                let version = num_field::<u64>(line, "schema_version")
                     .ok_or_else(|| format!("line {lineno}: meta without schema_version"))?;
                 if version != SCHEMA_VERSION {
                     return Err(format!(
@@ -115,7 +95,7 @@ fn parse_trace(doc: &str) -> Result<Vec<RunSummary>, String> {
                     .ok_or_else(|| format!("line {lineno}: phase without name"))?;
             }
             "round" => {
-                num_field(line, "awake")
+                num_field::<u64>(line, "awake")
                     .ok_or_else(|| format!("line {lineno}: round without awake"))?;
                 runs.last_mut().expect("meta seen").round_records += 1;
             }
@@ -130,7 +110,7 @@ fn parse_trace(doc: &str) -> Result<Vec<RunSummary>, String> {
             "hist" => {
                 let name = str_field(line, "name")
                     .ok_or_else(|| format!("line {lineno}: hist without name"))?;
-                let p50 = num_field(line, "p50")
+                let p50 = num_field::<u64>(line, "p50")
                     .ok_or_else(|| format!("line {lineno}: hist without p50"))?;
                 if name == "awake_rounds" {
                     let run = runs.last_mut().expect("meta seen");

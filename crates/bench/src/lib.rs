@@ -4,8 +4,8 @@
 //! so the "evaluation" to regenerate is the set of theorem claims, turned
 //! into measured scaling experiments E1–E14 (see DESIGN.md §6 and
 //! EXPERIMENTS.md). Each experiment here prints a markdown table; the
-//! `experiments` binary drives them and `cargo bench` provides wall-clock
-//! counterparts.
+//! `experiments` binary drives them and the `engine_throughput` binary
+//! provides wall-clock counterparts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,6 +13,7 @@
 pub mod churn;
 pub mod degradation;
 pub mod experiments;
+pub mod json;
 pub mod table;
 
 use mis_graphs::generators::Family;
@@ -25,9 +26,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the parallel worker count for the whole experiment suite (the
-/// `--threads N` flag of the `experiments` binary): `0` selects the
-/// sequential engine, `N >= 1` the sharded parallel engine with `N`
-/// workers (matching `SimConfig::threads` and the examples). Every value
+/// `--threads N` flag of the `experiments` binary): `0` and `1` run one
+/// shard on the calling thread, `N >= 2` run `N` worker shards
+/// (matching `SimConfig::threads` and the examples). Every value
 /// produces bit-identical tables (the engine's determinism contract), so
 /// this is purely a wall-clock knob.
 pub fn set_threads(n: usize) {

@@ -1,7 +1,7 @@
 //! Packed per-node flag words for the engine hot loop.
 //!
 //! The round loop tests and sets exactly two per-node facts — *halted*
-//! and *awake this round* — and, on the parallel engine, re-reads the
+//! and *awake this round* — and, at `k >= 2` shards, re-reads the
 //! awake flag during the cross-shard apply step. Storing each flag as one bit
 //! in a `u64` word instead of a byte (or a full 8-byte stamp) shrinks the
 //! flag working set 8–64x, so the bucket drain and the per-send receiver

@@ -1,10 +1,11 @@
-//! The round-by-round simulation engine.
+//! The protocol-facing half of the engine: the [`Protocol`] trait, the
+//! per-callback APIs, the [`Inbox`] view, and [`SimConfig`].
 //!
 //! # Hot-loop architecture
 //!
-//! The engine is built around two data structures chosen so that the
-//! steady-state round loop performs **no sorting, no searching, and no
-//! heap allocation**:
+//! The round loop (in `par::shard`) is built around two data structures
+//! chosen so that the steady-state loop performs **no sorting, no
+//! searching, and no heap allocation**:
 //!
 //! * a bucketed calendar queue ([`crate::sched`]) replaces an ordered
 //!   map as the wakeup queue — popping the next busy round is an O(1)
@@ -18,7 +19,8 @@
 //!   in ascending sender order.
 //!
 //! Delivery is **zero-copy end to end**: a payload is written exactly
-//! once (by the send that claims its edge slot) and never moved again —
+//! once (by the send that claims its edge slot, or by the receiving
+//! shard's apply step for a cut edge) and never moved again —
 //! [`Protocol::recv`] receives a borrowed [`Inbox`] view that iterates
 //! `(sender, &msg)` straight out of the slot range, stamp-filtered, with
 //! no per-round re-materialization of inbox buffers. Per-node hot flags
@@ -27,17 +29,14 @@
 //! tallied locally per node and committed to the [`Metrics`] once per
 //! send half, not once per message.
 //!
-//! All reusable buffers live in an [`EngineScratch`], allocated once per
-//! run (or once across many runs via [`run_with_scratch`]).
+//! All reusable buffers live in an [`crate::EngineScratch`], allocated
+//! once per run (or once across many runs via [`crate::run_with_scratch`]).
 
 use crate::bits::NodeBits;
 use crate::channel::{ChannelModel, FaultPlan};
 use crate::error::SimError;
 use crate::message::Message;
 use crate::metrics::Metrics;
-use crate::observer::{RoundEvent, RoundObserver};
-use crate::rng;
-use crate::sched::BucketScheduler;
 use crate::{NodeId, Round};
 use mis_graphs::{EdgeId, Graph};
 use rand::rngs::SmallRng;
@@ -211,9 +210,10 @@ pub struct SimConfig {
     pub bandwidth_bits: Option<usize>,
     /// Whether a bandwidth violation aborts the run.
     pub strict_bandwidth: bool,
-    /// Worker shards for the parallel engine ([`crate::run_parallel`]);
-    /// `0` (the default) runs the sequential engine on the caller thread.
-    /// Both engines produce bit-identical results — see [`crate::par`].
+    /// Worker shards of the round loop. `0` (the default) and `1` both
+    /// run one shard on the calling thread; `k >= 2` splits the graph
+    /// into `k` shards, one worker thread each. Results are bit-identical
+    /// for every value — see [`crate::par`].
     pub threads: usize,
     /// The channel model faults are drawn from ([`ChannelModel::Ideal`]
     /// by default — the clean network, zero-cost). Fault decisions are
@@ -254,8 +254,9 @@ impl SimConfig {
         }
     }
 
-    /// Returns a copy with the given parallel worker count (`0` =
-    /// sequential). Results are bit-identical for every value.
+    /// Returns a copy with the given worker count (`0` and `1` = one
+    /// shard on the calling thread). Results are bit-identical for every
+    /// value.
     #[must_use]
     pub fn with_threads(&self, threads: usize) -> SimConfig {
         SimConfig {
@@ -273,8 +274,8 @@ impl SimConfig {
         }
     }
 
-    /// Checks the configuration before a run: both engines call this at
-    /// entry, so an invalid config is rejected with a descriptive error
+    /// Checks the configuration before a run: every run entry point
+    /// calls this, so an invalid config is rejected with a descriptive error
     /// instead of producing a degenerate simulation.
     ///
     /// # Errors
@@ -294,8 +295,8 @@ impl SimConfig {
 
     /// Parses the conventional `--threads N` / `--threads=N` flag from
     /// this process's arguments (the value for [`SimConfig::threads`]):
-    /// `0` selects the sequential engine, `N >= 1` the sharded parallel
-    /// engine with `N` workers; `default` when the flag is absent. One
+    /// `0` and `1` run one shard on the calling thread, `N >= 2` run `N`
+    /// worker shards; `default` when the flag is absent. One
     /// shared parser so every example and binary exposes identical
     /// semantics.
     ///
@@ -456,50 +457,28 @@ impl<M> EdgeSlot<M> {
     }
 }
 
-/// Where a send's payload lands: the delivery backend behind a
-/// [`SendApi`].
-///
-/// The sequential engine owns the whole slot array ([`Sink::Direct`]); a
-/// parallel shard owns only its contiguous slot range and stages
-/// cross-shard payloads in per-destination buffers ([`Sink::Sharded`]).
-/// Keeping both behind one enum lets the *same* [`Protocol`] trait (and
-/// the same protocol code) drive either engine; the per-message cost is
-/// one perfectly predicted branch.
-#[derive(Debug)]
-pub(crate) enum Sink<'a, M> {
-    /// The whole graph's slots, as in the sequential engine.
-    Direct {
-        /// Per-directed-edge delivery slots, indexed by the
-        /// *receiver-side* [`mis_graphs::EdgeId`], i.e. the slot
-        /// `dst → src`. The slot stamp doubles as the
-        /// duplicate-destination filter.
-        slots: &'a mut [EdgeSlot<M>],
-        /// Bit `v` marks `v` awake this round; payloads for sleeping
-        /// receivers are dropped at send time (the model loses them
-        /// anyway), so slots never retain undelivered messages.
-        awake: &'a NodeBits,
-    },
-    /// One shard's view: local slots plus cross-shard staging buffers.
-    Sharded(ShardSink<'a, M>),
-}
-
-/// The sharded delivery backend of one parallel worker; see
-/// [`Sink::Sharded`].
+/// Where a send's payload lands: one shard's delivery backend behind a
+/// [`SendApi`]. A shard owns its contiguous slot range; payloads for its
+/// own nodes go straight into those slots, payloads crossing a cut edge
+/// are staged per destination shard for the exchange step. With one
+/// shard every receiver is local, so no send ever stages.
 #[derive(Debug)]
 pub(crate) struct ShardSink<'a, M> {
     /// Delivery slots of this shard's slot range only; index
-    /// `global EdgeId - slot_base`.
+    /// `global EdgeId - slot_base`. A receiver-side slot id falls inside
+    /// this range iff the receiver is one of this shard's nodes, so the
+    /// bounds test doubles as the local/cross test.
     pub(crate) slots: &'a mut [EdgeSlot<M>],
     /// Duplicate-destination stamps over this shard's *outgoing* slots
-    /// (same index space as `slots`). The receiver-side stamp cannot be
-    /// used here because the receiver may live on another shard.
+    /// (same index space as `slots`), consulted by cross-shard sends
+    /// only: the receiver-side stamp cannot be used there because the
+    /// receiver lives on another shard. Empty when the shard has no cut
+    /// edges.
     pub(crate) out_stamp: &'a mut [u64],
     /// Awake bits of this shard's nodes; bit `NodeId - node_base`.
     pub(crate) awake: &'a NodeBits,
     /// First node owned by this shard.
     pub(crate) node_base: NodeId,
-    /// One past this shard's last node.
-    pub(crate) node_end: NodeId,
     /// First slot owned by this shard.
     pub(crate) slot_base: EdgeId,
     /// Slot boundaries of all shards (`k + 1` entries), for O(log k)
@@ -568,7 +547,7 @@ pub struct SendApi<'a, M: Message> {
     /// Stamp of the current round; a slot with this stamp already holds a
     /// message sent this round.
     tick: u64,
-    sink: Sink<'a, M>,
+    sink: ShardSink<'a, M>,
     /// Every node is awake this round: skip the per-message receiver
     /// check entirely (the dense-workload fast path).
     all_awake: bool,
@@ -584,9 +563,9 @@ pub struct SendApi<'a, M: Message> {
 }
 
 impl<'a, M: Message> SendApi<'a, M> {
-    /// Assembles a send API over the given delivery sink (engine
-    /// internal; both the sequential loop and the parallel shard workers
-    /// construct one per awake node per round).
+    /// Assembles a send API over the given shard's delivery sink
+    /// (engine internal; the round loop constructs one per awake node
+    /// per round).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         node: NodeId,
@@ -594,7 +573,7 @@ impl<'a, M: Message> SendApi<'a, M> {
         graph: &'a Graph,
         rng: &'a mut SmallRng,
         tick: u64,
-        sink: Sink<'a, M>,
+        sink: ShardSink<'a, M>,
         all_awake: bool,
         faults: FaultPlan<'a>,
         cfg: &SimConfig,
@@ -772,101 +751,67 @@ impl<'a, M: Message> SendApi<'a, M> {
     /// its payload goes, or returns `None` after recording a
     /// duplicate-destination violation.
     ///
-    /// Duplicate detection differs by sink: the sequential engine stamps
-    /// the receiver-side slot (one touch claims and delivers), while a
-    /// shard stamps its sender-side `out_stamp` — the receiver slot may
-    /// belong to another shard, but the *outgoing* slot always belongs to
-    /// the sender, so the check stays lock-free and thread-local.
+    /// A local receiver's slot is this shard's own memory, so its claim
+    /// stamp doubles as the duplicate check (one touch claims and
+    /// delivers). A cross-shard send stamps the sender-side `out_stamp`
+    /// instead — the receiver slot belongs to another shard, but the
+    /// *outgoing* slot always belongs to the sender, so the check stays
+    /// lock-free and thread-local.
     #[inline]
     fn claim(&mut self, eid: mis_graphs::EdgeId) -> Option<Place> {
-        match &mut self.sink {
-            Sink::Direct { slots, awake } => {
-                let rid = self.graph.reverse_edge(eid);
-                let slot = &mut slots[rid];
-                if slot.stamp == self.tick {
-                    *self.error = Some(SimError::DuplicateDestination {
-                        src: self.node,
-                        dst: self.graph.edge_target(eid),
-                        round: self.round,
-                    });
-                    return None;
-                }
-                slot.stamp = self.tick;
-                let awake = self.all_awake || awake.get(self.graph.edge_target(eid) as usize);
-                Some(if !awake {
-                    Place::Lost
-                } else if self.faults.drops(self.round, rid) {
-                    // The slot keeps its claim stamp (duplicate sends to
-                    // the same receiver are still CONGEST violations) but
-                    // never gets a payload; zero-copy delivery parks old
-                    // payloads in slots, so wipe any stale one or the
-                    // claim stamp would resurrect it for the receiver.
-                    slot.msg = None;
-                    Place::Dropped
-                } else {
-                    Place::Slot(rid)
-                })
+        let rid = self.graph.reverse_edge(eid);
+        let s = &mut self.sink;
+        let local = rid.wrapping_sub(s.slot_base);
+        if let Some(slot) = s.slots.get_mut(local) {
+            if slot.stamp == self.tick {
+                *self.error = Some(SimError::DuplicateDestination {
+                    src: self.node,
+                    dst: self.graph.edge_target(eid),
+                    round: self.round,
+                });
+                return None;
             }
-            Sink::Sharded(s) => {
-                let dst = self.graph.edge_target(eid);
-                let rid = self.graph.reverse_edge(eid);
-                if dst >= s.node_base && dst < s.node_end {
-                    // Local receiver: the receiver-side slot is this
-                    // shard's own memory, so its claim stamp doubles as
-                    // the duplicate check exactly as in the sequential
-                    // engine — local traffic never touches the
-                    // `out_stamp` array, keeping it out of the send
-                    // half's working set (at one shard it is never
-                    // touched at all).
-                    let slot = &mut s.slots[rid - s.slot_base];
-                    if slot.stamp == self.tick {
-                        *self.error = Some(SimError::DuplicateDestination {
-                            src: self.node,
-                            dst,
-                            round: self.round,
-                        });
-                        return None;
-                    }
-                    slot.stamp = self.tick;
-                    let awake = self.all_awake || s.awake.get((dst - s.node_base) as usize);
-                    Some(if !awake {
-                        Place::Lost
-                    } else if self.faults.drops(self.round, rid) {
-                        // Keyed on the *global* receiver-side id, the
-                        // same input the sequential engine hashes. The
-                        // claim stamp must stand without a payload
-                        // (duplicate sends are still CONGEST
-                        // violations), so wipe any stale parked payload
-                        // or the stamp would resurrect it.
-                        slot.msg = None;
-                        Place::Dropped
-                    } else {
-                        Place::Slot(rid - s.slot_base)
-                    })
-                } else {
-                    let out = &mut s.out_stamp[eid - s.slot_base];
-                    if *out == self.tick {
-                        *self.error = Some(SimError::DuplicateDestination {
-                            src: self.node,
-                            dst,
-                            round: self.round,
-                        });
-                        return None;
-                    }
-                    *out = self.tick;
-                    // Cross-shard: stage for the exchange step; the
-                    // owning shard performs the awake check on apply.
-                    let shard = s.slot_starts.partition_point(|&b| b <= rid) - 1;
-                    let pair = s.pair_local[shard];
-                    debug_assert_ne!(
-                        pair,
-                        crate::par::partition::NO_PAIR,
-                        "cross payload on a pair the plan saw no cut edges for"
-                    );
-                    Some(Place::Stage(pair as usize, rid, dst))
-                }
-            }
+            slot.stamp = self.tick;
+            let awake = self.all_awake
+                || s.awake
+                    .get((self.graph.edge_target(eid) - s.node_base) as usize);
+            return Some(if !awake {
+                Place::Lost
+            } else if self.faults.drops(self.round, rid) {
+                // Keyed on the *global* receiver-side id, so every shard
+                // layout draws the same decision. The slot keeps its
+                // claim stamp (duplicate sends to the same receiver are
+                // still CONGEST violations) but never gets a payload;
+                // zero-copy delivery parks old payloads in slots, so
+                // wipe any stale one or the claim stamp would resurrect
+                // it for the receiver.
+                slot.msg = None;
+                Place::Dropped
+            } else {
+                Place::Slot(local)
+            });
         }
+        let dst = self.graph.edge_target(eid);
+        let out = &mut s.out_stamp[eid - s.slot_base];
+        if *out == self.tick {
+            *self.error = Some(SimError::DuplicateDestination {
+                src: self.node,
+                dst,
+                round: self.round,
+            });
+            return None;
+        }
+        *out = self.tick;
+        // Cross-shard: stage for the exchange step; the owning shard
+        // performs the awake check on apply.
+        let shard = s.slot_starts.partition_point(|&b| b <= rid) - 1;
+        let pair = s.pair_local[shard];
+        debug_assert_ne!(
+            pair,
+            crate::par::partition::NO_PAIR,
+            "cross payload on a pair the plan saw no cut edges for"
+        );
+        Some(Place::Stage(pair as usize, rid, dst))
     }
 
     /// Stores a claimed payload: write the slot (stamping it so the
@@ -878,18 +823,12 @@ impl<'a, M: Message> SendApi<'a, M> {
     fn place(&mut self, place: Place, msg: M) {
         match place {
             Place::Slot(i) => {
-                let slot = match &mut self.sink {
-                    Sink::Direct { slots, .. } => &mut slots[i],
-                    Sink::Sharded(s) => &mut s.slots[i],
-                };
+                let slot = &mut self.sink.slots[i];
                 slot.stamp = self.tick;
                 slot.msg = Some(msg);
                 self.tally.delivered += 1;
             }
-            Place::Stage(pair, rid, dst) => match &mut self.sink {
-                Sink::Sharded(s) => s.out[pair].push((rid, dst, msg)),
-                Sink::Direct { .. } => unreachable!("direct sink never stages"),
-            },
+            Place::Stage(pair, rid, dst) => self.sink.out[pair].push((rid, dst, msg)),
             Place::Lost => {}
             Place::Dropped => self.tally.dropped += 1,
         }
@@ -1006,405 +945,10 @@ impl<'a> RecvApi<'a> {
     }
 }
 
-/// Reusable buffers of the engine hot loop, sized for one graph.
-///
-/// The steady-state round loop allocates nothing: wake buckets, the awake
-/// list, per-node flag words, and per-edge message slots all live here
-/// and are recycled round over round (and run over run with
-/// [`run_with_scratch`]). There is **no inbox buffer**: receivers borrow
-/// messages in place from `slots` through the [`Inbox`] view. Slot stamps
-/// are compared against a monotonically increasing tick, so reuse never
-/// requires clearing the O(m) slot array.
-#[derive(Debug)]
-pub struct EngineScratch<M> {
-    sched: BucketScheduler,
-    /// Per-node RNGs, re-derived in place from `(seed, salt, node)` at
-    /// the start of every run.
-    rngs: Vec<SmallRng>,
-    /// Monotone busy-round counter; never reset, so stale stamps from
-    /// earlier rounds (or earlier runs) can never collide.
-    tick: u64,
-    /// Bit `v` set iff node `v` has halted (packed, 64 nodes per word).
-    halted: NodeBits,
-    /// Bit `v` set iff `v` is awake in the current round (also the
-    /// duplicate-wakeup filter when draining a bucket). Set while
-    /// draining, cleared per active node at the end of the round.
-    awake: NodeBits,
-    /// Awake, non-halted nodes of the current round.
-    active: Vec<NodeId>,
-    /// Wakeups requested by the node currently in `init`/`recv`.
-    wakes: Vec<Round>,
-    /// Per-directed-edge delivery slots, indexed by receiver-side
-    /// [`mis_graphs::EdgeId`]; `slots[e].stamp == tick` marks a message
-    /// sent this round. Stamp and payload share one struct so a send
-    /// touches a single cache line per destination, and the receiver's
-    /// [`Inbox`] view reads the payload from the same line.
-    slots: Vec<EdgeSlot<M>>,
-}
-
-impl<M: Message> EngineScratch<M> {
-    /// Scratch sized for `graph`.
-    pub fn new(graph: &Graph) -> EngineScratch<M> {
-        let mut s = EngineScratch::empty();
-        s.fit_to(graph);
-        s
-    }
-
-    /// Unsized scratch; [`run`] starts here and lets `run_with_scratch`'s
-    /// `fit_to` do the single sizing pass.
-    fn empty() -> EngineScratch<M> {
-        EngineScratch {
-            sched: BucketScheduler::new(),
-            rngs: Vec::new(),
-            tick: 0,
-            halted: NodeBits::new(),
-            awake: NodeBits::new(),
-            active: Vec::new(),
-            wakes: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-
-    /// Resizes for `graph` and resets per-run state (halts, queue). The
-    /// tick — and therefore the slot stamps — carries over untouched.
-    fn fit_to(&mut self, graph: &Graph) {
-        let n = graph.n();
-        let dm = graph.directed_m();
-        self.halted.fit(n);
-        self.awake.fit(n);
-        self.slots.resize_with(dm, EdgeSlot::vacant);
-        // Zero-copy delivery parks payloads in their slots until the edge
-        // is next written, so a finished run (and, a fortiori, an aborted
-        // one) leaves messages behind; drop them so a reused scratch
-        // never outlives payloads from an earlier run.
-        for slot in &mut self.slots {
-            slot.msg = None;
-        }
-        self.sched.clear();
-        self.active.clear();
-        self.wakes.clear();
-    }
-
-    /// Capacities of every growable buffer, in a fixed order. Two runs of
-    /// the same workload must produce identical signatures — `Vec` growth
-    /// strictly increases capacity, so an unchanged signature proves the
-    /// second run performed zero scratch allocations. This is the
-    /// allocation oracle for the no-steady-state-allocation test (the
-    /// workspace forbids `unsafe`, so a counting `GlobalAlloc` is not an
-    /// option).
-    ///
-    /// The fixed order is: RNGs, halted words, awake words, active list,
-    /// wake list, edge slots, then the scheduler's buffers — one entry
-    /// per growable buffer, [`EngineScratch::FIXED_BUFFERS`] before the
-    /// scheduler. (The pre-zero-copy engine had one more: a per-node
-    /// inbox buffer, retired when [`Inbox`] made delivery borrow in
-    /// place.)
-    pub fn capacity_signature(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(8);
-        out.push(self.rngs.capacity());
-        self.halted.capacity_signature(&mut out);
-        self.awake.capacity_signature(&mut out);
-        out.push(self.active.capacity());
-        out.push(self.wakes.capacity());
-        out.push(self.slots.capacity());
-        self.sched.capacity_signature(&mut out);
-        out
-    }
-
-    /// Number of scratch buffers outside the scheduler (the leading
-    /// entries of [`EngineScratch::capacity_signature`]); pinned by tests
-    /// so a retired buffer cannot silently come back.
-    pub const FIXED_BUFFERS: usize = 6;
-}
-
-/// Runs `protocol` on `graph` under `cfg` until no node has a pending
-/// wakeup.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the protocol exceeds `cfg.max_rounds`, addresses
-/// a non-neighbor, sends twice to the same neighbor in one round, or (in
-/// strict mode) exceeds the bandwidth.
-pub fn run<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-) -> Result<SimResult<P::State>, SimError> {
-    let mut scratch = EngineScratch::empty();
-    run_inner(graph, protocol, cfg, &mut scratch, None)
-}
-
-/// [`run`], streaming one [`RoundEvent`] per busy round into `observer`
-/// (the sequential arm of the engine's observation hook; see
-/// [`crate::observer`] for the cross-engine determinism contract).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_observed<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    observer: &mut dyn RoundObserver,
-) -> Result<SimResult<P::State>, SimError> {
-    let mut scratch = EngineScratch::empty();
-    run_inner(graph, protocol, cfg, &mut scratch, Some(observer))
-}
-
-/// [`run`], reusing caller-owned scratch buffers across runs.
-///
-/// Repeated executions on the same graph (parameter sweeps, benchmark
-/// loops, repeated phases with one message type) skip all per-run buffer
-/// allocation except the result itself.
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_with_scratch<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    scratch: &mut EngineScratch<P::Msg>,
-) -> Result<SimResult<P::State>, SimError> {
-    run_inner(graph, protocol, cfg, scratch, None)
-}
-
-/// [`run_with_scratch`] with a round observer attached (see
-/// [`run_observed`]).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_with_scratch_observed<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    scratch: &mut EngineScratch<P::Msg>,
-    observer: &mut dyn RoundObserver,
-) -> Result<SimResult<P::State>, SimError> {
-    run_inner(graph, protocol, cfg, scratch, Some(observer))
-}
-
-/// The one sequential round loop behind every `run*` entry point; the
-/// observer is `None` on the unobserved paths, which keeps observation
-/// strictly pay-for-what-you-use (one branch per busy round).
-fn run_inner<P: Protocol>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    scratch: &mut EngineScratch<P::Msg>,
-    mut observer: Option<&mut dyn RoundObserver>,
-) -> Result<SimResult<P::State>, SimError> {
-    cfg.validate()?;
-    let faults = FaultPlan::new(cfg);
-    let n = graph.n();
-    scratch.fit_to(graph);
-    scratch.rngs.clear();
-    scratch
-        .rngs
-        .extend((0..n as u32).map(|v| rng::derive(cfg.seed, cfg.salt, v)));
-    let mut metrics = Metrics::new(n);
-    let EngineScratch {
-        sched,
-        rngs,
-        tick,
-        halted,
-        awake,
-        active,
-        wakes,
-        slots,
-    } = scratch;
-
-    // Initialization: free local pre-computation, may request wakeups.
-    let mut states: Vec<P::State> = Vec::with_capacity(n);
-    for v in 0..n as u32 {
-        wakes.clear();
-        let mut api = InitApi::new(v, graph, &mut rngs[v as usize], wakes);
-        states.push(protocol.init(v, &mut api));
-        for &r in wakes.iter() {
-            sched.schedule(r, v);
-        }
-    }
-
-    let mut last_round: Option<Round> = None;
-
-    while let Some(round) = sched.pop_round() {
-        if round >= cfg.max_rounds {
-            return Err(SimError::ExceededMaxRounds {
-                max_rounds: cfg.max_rounds,
-            });
-        }
-        *tick += 1;
-        let stamp = *tick;
-
-        // Drain the wake bucket: the awake bit dedups repeated wakeups
-        // and the halted bit drops dead nodes; no sort needed (processing
-        // order within a round is unobservable — per-node RNGs,
-        // slot-indexed delivery). Both flags are single bits in packed
-        // u64 words, so this scan touches n/64th the memory of a
-        // stamp-per-node filter.
-        let bucket = sched.take_bucket(round);
-        active.clear();
-        for &v in &bucket {
-            let vi = v as usize;
-            if halted.get(vi) || awake.get(vi) {
-                metrics.probes.wakeups_deduped += 1;
-                continue;
-            }
-            // Adversarial channel: a crash kills the node at its next
-            // wakeup on or after the crash round; a forced-sleep window
-            // consumes the wakeup (the node misses the round entirely,
-            // spending no energy). Pure in (node, round), so both
-            // engines agree bit for bit.
-            if faults.crashes(v, round) {
-                halted.set(vi);
-                metrics.probes.crash_halts += 1;
-                continue;
-            }
-            if faults.forces_asleep(v, round) {
-                metrics.probes.forced_sleeps += 1;
-                continue;
-            }
-            awake.set(vi);
-            active.push(v);
-        }
-        sched.restore_bucket(round, bucket);
-        if active.is_empty() {
-            continue;
-        }
-        last_round = Some(round);
-        metrics.busy_rounds += 1;
-        for &v in active.iter() {
-            metrics.awake_rounds[v as usize] += 1;
-        }
-        // Counter snapshot so the observer (if any) sees per-round deltas.
-        let (sent_before, delivered_before, dropped_before, collisions_before, bits_before) = (
-            metrics.messages_sent,
-            metrics.messages_delivered,
-            metrics.messages_dropped,
-            metrics.collisions,
-            metrics.bits_sent,
-        );
-
-        // Send half: messages go straight into per-edge slots; each
-        // node's CONGEST accounting is tallied locally and committed to
-        // the metrics in one batch per node, not one update per message.
-        let all_awake = active.len() == n;
-        let mut error: Option<SimError> = None;
-        for &v in active.iter() {
-            let sink = Sink::Direct {
-                slots: &mut slots[..],
-                awake: &*awake,
-            };
-            let mut api = SendApi::new(
-                v,
-                round,
-                graph,
-                &mut rngs[v as usize],
-                stamp,
-                sink,
-                all_awake,
-                faults,
-                cfg,
-                &mut error,
-            );
-            protocol.send(&mut states[v as usize], &mut api);
-            metrics.commit_send(api.into_tally());
-            if let Some(e) = error.take() {
-                return Err(e);
-            }
-        }
-
-        // Radio-collision pass: between the send half (all slots
-        // written) and the receive half, each receiver that heard ≥ 2
-        // simultaneous transmissions loses them all. Receiver-side and
-        // computable from the in-edge slot range alone, so the sharded
-        // engine runs the identical pass on its local range.
-        if faults.is_collision() {
-            for &v in active.iter() {
-                let range = graph.edge_range(v);
-                let hits = slots[range.clone()]
-                    .iter()
-                    .filter(|s| s.stamp == stamp && s.msg.is_some())
-                    .count() as u64;
-                if hits >= 2 {
-                    for slot in &mut slots[range] {
-                        if slot.stamp == stamp {
-                            slot.msg = None;
-                        }
-                    }
-                    metrics.messages_delivered -= hits;
-                    metrics.messages_dropped += hits;
-                    metrics.collisions += 1;
-                }
-            }
-        }
-
-        // Receive half: each awake node reacts to a borrowed view of its
-        // slot range (ascending sender order by CSR construction) —
-        // payloads are read in place, never copied out.
-        for &v in active.iter() {
-            let inbox = Inbox::new(&slots[graph.edge_range(v)], graph.neighbors(v), stamp);
-            wakes.clear();
-            let mut halt = false;
-            let mut api = RecvApi::new(v, round, graph, &mut rngs[v as usize], wakes, &mut halt);
-            protocol.recv(&mut states[v as usize], inbox, &mut api);
-            if halt {
-                halted.set(v as usize);
-            } else {
-                for &r in wakes.iter() {
-                    sched.schedule(r, v);
-                }
-            }
-        }
-
-        if let Some(obs) = observer.as_deref_mut() {
-            obs.on_round(&RoundEvent {
-                round,
-                awake: active.len() as u64,
-                messages_sent: metrics.messages_sent - sent_before,
-                messages_delivered: metrics.messages_delivered - delivered_before,
-                messages_dropped: metrics.messages_dropped - dropped_before,
-                collisions: metrics.collisions - collisions_before,
-                bits_sent: metrics.bits_sent - bits_before,
-            });
-        }
-
-        // Reset the awake bits for the next round, touching only the
-        // words of nodes that were actually active (sparse rounds stay
-        // O(active), dense rounds one bit per node).
-        for &v in active.iter() {
-            awake.clear(v as usize);
-        }
-    }
-
-    metrics.elapsed_rounds = last_round.map_or(0, |r| r + 1);
-    // Scheduler probes: insertion volume and spills are thread-invariant
-    // (every schedule() call happens against base == current round in
-    // both engines); the peak bucket depends on shard layout, so it
-    // lands in the per-configuration stats instead.
-    let sched_stats = sched.stats();
-    metrics.probes.wakeups_scheduled = sched_stats.scheduled;
-    metrics.probes.sched_spills = sched_stats.spilled;
-    let stats = crate::telemetry::EngineStats {
-        shards: 0,
-        cut_messages: 0,
-        mailbox_posts: 0,
-        exchange_skipped_pairs: 0,
-        local_only_rounds: 0,
-        cut_slots: 0,
-        peak_bucket: sched_stats.peak_bucket,
-    };
-    Ok(SimResult {
-        states,
-        metrics,
-        stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run, run_observed, run_with_scratch, EngineScratch};
     use mis_graphs::generators;
 
     /// Flood protocol: node 0 starts "infected" in round 0; infection
@@ -1875,7 +1419,7 @@ mod tests {
         let cfg = SimConfig::seeded(3);
         let baseline = run(&g, &Flood { rounds_cap: 30 }, &cfg).unwrap();
 
-        let mut scratch = EngineScratch::new(&g);
+        let mut scratch = EngineScratch::new(&g, 0);
         let first = run_with_scratch(&g, &Flood { rounds_cap: 30 }, &cfg, &mut scratch).unwrap();
         let warm = scratch.capacity_signature();
         let second = run_with_scratch(&g, &Flood { rounds_cap: 30 }, &cfg, &mut scratch).unwrap();
@@ -1893,34 +1437,40 @@ mod tests {
         }
     }
 
-    /// The signature layout is exactly the fixed buffers plus the
-    /// scheduler's entries — pinning that the slice-era per-node inbox
-    /// buffer is gone (it would show up as an extra leading entry).
+    /// The signature layout of a one-shard scratch is exactly the shard
+    /// list, the plan, the shard's fixed buffers plus its scheduler, and
+    /// the exchange's empty cell list — pinning that the slice-era
+    /// per-node inbox buffer is gone (it would show up as an extra
+    /// entry) and that one shard carries no staging buffer and no
+    /// exchange cell.
     #[test]
     fn capacity_signature_is_fixed_buffers_plus_scheduler() {
         let g = generators::grid2d(4, 4);
-        let s: EngineScratch<u32> = EngineScratch::new(&g);
+        let mut s: EngineScratch<u32> = EngineScratch::new(&g, 1);
+        let mut plan_sig = Vec::new();
+        crate::par::partition::ShardPlan::new().capacity_signature(&mut plan_sig);
         let mut sched_sig = Vec::new();
-        s.sched.capacity_signature(&mut sched_sig);
+        crate::sched::BucketScheduler::new().capacity_signature(&mut sched_sig);
         assert_eq!(
             s.capacity_signature().len(),
-            EngineScratch::<u32>::FIXED_BUFFERS + sched_sig.len()
+            1 + plan_sig.len() + EngineScratch::<u32>::FIXED_BUFFERS + sched_sig.len() + 1
         );
     }
 
     /// Payloads addressed to sleeping receivers are dropped at send
-    /// time, not parked in delivery slots until the edge is next used.
+    /// time, not parked in delivery slots until the edge is next used —
+    /// on one shard and across a shard boundary alike.
     #[test]
     fn undelivered_payloads_are_dropped_at_send_time() {
-        use std::rc::Rc;
+        use std::sync::Arc;
         #[derive(Clone, Debug)]
-        struct Tracked(#[allow(dead_code, reason = "held only to track drops")] Rc<()>);
+        struct Tracked(#[allow(dead_code, reason = "held only to track drops")] Arc<()>);
         impl crate::Message for Tracked {
             fn bits(&self) -> usize {
                 1
             }
         }
-        struct SendToSleepers(Rc<()>);
+        struct SendToSleepers(Arc<()>);
         impl Protocol for SendToSleepers {
             type State = ();
             type Msg = Tracked;
@@ -1935,15 +1485,18 @@ mod tests {
             fn recv(&self, _state: &mut (), _inbox: Inbox<'_, Tracked>, _api: &mut RecvApi<'_>) {}
         }
         let g = generators::star(5);
-        let handle = Rc::new(());
-        let proto = SendToSleepers(handle.clone());
-        let mut scratch = EngineScratch::new(&g);
-        let res = run_with_scratch(&g, &proto, &SimConfig::default(), &mut scratch).unwrap();
-        assert_eq!(res.metrics.messages_sent, 4);
-        assert_eq!(res.metrics.messages_delivered, 0);
-        // Scratch is still alive, yet no broadcast copy survives: only the
-        // local handle and the protocol's own copy remain.
-        assert_eq!(Rc::strong_count(&handle), 2);
+        for threads in [0, 2] {
+            let handle = Arc::new(());
+            let proto = SendToSleepers(handle.clone());
+            let cfg = SimConfig::default().with_threads(threads);
+            let mut scratch = EngineScratch::new(&g, threads);
+            let res = run_with_scratch(&g, &proto, &cfg, &mut scratch).unwrap();
+            assert_eq!(res.metrics.messages_sent, 4, "threads {threads}");
+            assert_eq!(res.metrics.messages_delivered, 0, "threads {threads}");
+            // Scratch is still alive, yet no broadcast copy survives: only
+            // the local handle and the protocol's own copy remain.
+            assert_eq!(Arc::strong_count(&handle), 2, "threads {threads}");
+        }
     }
 
     /// The observed event stream partitions the aggregate metrics: the

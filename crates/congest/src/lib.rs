@@ -25,6 +25,21 @@
 //! time and energy exactly the way the paper's theorems add up phase
 //! budgets.
 //!
+//! # One round loop, three entry points
+//!
+//! The engine has one round loop: a shard's loop in [`par`]. A run with
+//! [`SimConfig::threads`] at `0` or `1` executes it as a single shard on
+//! the calling thread; `k >= 2` splits the graph into `k` shards, one
+//! worker thread each, and the result is bit-identical either way. The
+//! worker count always comes from the config, so there are exactly
+//! three entry points:
+//!
+//! * [`run`] — one run;
+//! * [`run_observed`] — one run streaming a [`RoundEvent`] per busy
+//!   round into a [`RoundObserver`];
+//! * [`run_with_scratch`] — one run on caller-owned [`EngineScratch`]
+//!   buffers, allocation-free in steady state.
+//!
 //! # Example: a one-round "hello" protocol
 //!
 //! ```
@@ -76,18 +91,12 @@ pub mod schedule;
 pub mod telemetry;
 
 pub use channel::{AdversarySchedule, ChannelModel, SleepWindow};
-pub use engine::{
-    run, run_observed, run_with_scratch, run_with_scratch_observed, EngineScratch, Inbox,
-    InboxIter, InitApi, Protocol, RecvApi, SendApi, SimConfig, SimResult,
-};
+pub use engine::{Inbox, InboxIter, InitApi, Protocol, RecvApi, SendApi, SimConfig, SimResult};
 pub use error::SimError;
 pub use message::{Message, PackedBits};
 pub use metrics::{EnergySummary, Metrics};
 pub use observer::{PhaseTrace, RoundEvent, RoundLog, RoundObserver};
-pub use par::{
-    run_auto, run_auto_observed, run_parallel, run_parallel_observed, run_parallel_with_scratch,
-    ParScratch,
-};
+pub use par::{run, run_observed, run_with_scratch, EngineScratch};
 pub use pipeline::Pipeline;
 pub use repair::{plan_repair, RepairPlan};
 pub use telemetry::{

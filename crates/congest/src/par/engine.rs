@@ -1,4 +1,4 @@
-//! The parallel run entry points: scratch, spawn, merge.
+//! The run entry points: scratch, spawn, merge.
 
 use super::exchange::{Exchange, RoundSync};
 use super::partition::ShardPlan;
@@ -6,39 +6,42 @@ use super::shard::{run_shard, ShardOutcome, ShardScratch};
 use crate::engine::{Protocol, SimConfig, SimResult};
 use crate::error::SimError;
 use crate::message::Message;
-use crate::metrics::Metrics;
-use crate::observer::RoundObserver;
+use crate::observer::{RoundLog, RoundObserver};
 use mis_graphs::Graph;
 
-/// Reusable buffers of a parallel run, the sharded counterpart of
-/// [`crate::EngineScratch`]: one [`ShardScratch`] per worker plus the
-/// shared exchange mailboxes and round-sync state.
+/// Reusable buffers of a run: the shard plan, one shard scratch per
+/// worker, and the exchange cells and round-sync state the workers
+/// share (sized to nothing at one shard).
 ///
-/// Repeated runs on the same graph and thread count perform zero
-/// steady-state allocation: every growable buffer is recycled, which the
-/// capacity-signature oracle pins down in tests exactly like the
-/// sequential scratch. (The spawned worker threads themselves are per
-/// run; thread reuse is the OS scheduler's job, not the engine's.)
+/// The steady-state round loop allocates nothing: wake buckets, the
+/// awake lists, per-node flag words, per-edge message slots and
+/// cross-shard staging all live here and are recycled round over round,
+/// and run over run with [`run_with_scratch`]. Repeated runs on the same
+/// graph and thread count perform zero steady-state allocation, which
+/// the capacity-signature oracle pins down in tests. (The spawned worker
+/// threads of a `k >= 2` run are per run; thread reuse is the OS
+/// scheduler's job, not the engine's.)
 #[derive(Debug)]
-pub struct ParScratch<M> {
-    k: usize,
+pub struct EngineScratch<M> {
     plan: ShardPlan,
     shards: Vec<ShardScratch<M>>,
     exchange: Exchange<M>,
     sync: RoundSync,
 }
 
-impl<M: Message + Send> ParScratch<M> {
-    /// Scratch sized for `graph` split across `threads` workers.
-    pub fn new(graph: &Graph, threads: usize) -> ParScratch<M> {
-        let mut s = ParScratch::empty();
+impl<M: Message> EngineScratch<M> {
+    /// Scratch sized for `graph` split across `threads` workers (`0` and
+    /// `1` both mean one shard).
+    pub fn new(graph: &Graph, threads: usize) -> EngineScratch<M> {
+        let mut s = EngineScratch::empty();
         s.fit_to(graph, threads.max(1));
         s
     }
 
-    fn empty() -> ParScratch<M> {
-        ParScratch {
-            k: 0,
+    /// Unsized scratch; [`run`] starts here and lets the run's `fit_to`
+    /// do the single sizing pass.
+    fn empty() -> EngineScratch<M> {
+        EngineScratch {
             plan: ShardPlan::new(),
             shards: Vec::new(),
             exchange: Exchange::new(),
@@ -50,12 +53,9 @@ impl<M: Message + Send> ParScratch<M> {
     /// recomputes the plan: partition boundaries follow the graph's CSR
     /// offsets, and the refit reuses every buffer.
     fn fit_to(&mut self, graph: &Graph, k: usize) {
-        self.k = k;
         self.plan.rebuild(graph, k);
         self.shards.truncate(k);
-        while self.shards.len() < k {
-            self.shards.push(ShardScratch::new());
-        }
+        self.shards.resize_with(k, ShardScratch::new);
         // One exchange cell per cut pair — not k²: shard pairs without
         // cut edges have no cell, no buffer, and no per-round cost.
         let plan = &self.plan;
@@ -64,9 +64,15 @@ impl<M: Message + Send> ParScratch<M> {
         self.sync.fit(k);
     }
 
-    /// Capacities of every growable buffer, in a fixed order; the
-    /// allocation oracle for the zero-steady-state-allocation test (see
-    /// [`crate::EngineScratch::capacity_signature`] for the reasoning).
+    /// Capacities of every growable buffer, in a fixed order: the shard
+    /// list, the plan, each shard ([`EngineScratch::FIXED_BUFFERS`]
+    /// entries, then its staging and scheduler tail), the exchange. Two
+    /// runs of the same workload must produce identical signatures —
+    /// `Vec` growth strictly increases capacity, so an unchanged
+    /// signature proves the second run performed zero scratch
+    /// allocations. This is the allocation oracle for the
+    /// no-steady-state-allocation tests (the workspace forbids `unsafe`,
+    /// so a counting `GlobalAlloc` is not an option).
     pub fn capacity_signature(&mut self) -> Vec<usize> {
         let mut out = vec![self.shards.capacity()];
         self.plan.capacity_signature(&mut out);
@@ -76,53 +82,56 @@ impl<M: Message + Send> ParScratch<M> {
         self.exchange.capacity_signature(&mut out);
         out
     }
+
+    /// Number of buffers each shard contributes before its
+    /// variable-length staging/scheduler tail in
+    /// [`EngineScratch::capacity_signature`]; pinned by tests so a
+    /// retired buffer cannot silently come back. (The pre-zero-copy
+    /// engine had one more: a per-node inbox buffer, retired when
+    /// [`crate::Inbox`] made delivery borrow in place.)
+    pub const FIXED_BUFFERS: usize = ShardScratch::<M>::FIXED_BUFFERS;
 }
 
-/// Runs `protocol` on `graph` under `cfg` across `threads` worker shards,
-/// producing results *bit-identical* to the sequential [`crate::run`] for
-/// every thread count (see [`crate::par`] for why).
-///
-/// `threads` is clamped to at least 1; `threads = 1` still exercises the
-/// sharded machinery (on the calling thread, nothing spawned), which is
-/// what pins the `k = 1` case of the determinism contract in tests.
+/// Runs `protocol` on `graph` under `cfg` until no node has a pending
+/// wakeup, on [`SimConfig::threads`] shards (one, on the calling thread,
+/// for `0` and `1`). Results are bit-identical for every thread count
+/// (see [`crate::par`]).
 ///
 /// # Errors
 ///
-/// Same contract as [`crate::run`]. When shards fail in the same round,
-/// the lowest-numbered shard's error is returned.
+/// Returns [`SimError`] if the protocol exceeds `cfg.max_rounds`,
+/// addresses a non-neighbor, sends twice to the same neighbor in one
+/// round, or (in strict mode) exceeds the bandwidth, and
+/// [`SimError::InvalidInput`] for a config [`SimConfig::validate`]
+/// rejects. When shards fail in the same round, the lowest-numbered
+/// shard's error is returned.
 ///
 /// # Panics
 ///
-/// Re-raises a panic unwinding out of a protocol callback (after all
-/// workers shut down cleanly).
-pub fn run_parallel<P>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    threads: usize,
-) -> Result<SimResult<P::State>, SimError>
+/// Re-raises a panic unwinding out of a protocol callback (at `k >= 2`
+/// after all workers shut down cleanly).
+pub fn run<P>(graph: &Graph, protocol: &P, cfg: &SimConfig) -> Result<SimResult<P::State>, SimError>
 where
     P: Protocol + Sync,
     P::State: Send,
     P::Msg: Send,
 {
-    let mut scratch = ParScratch::empty();
-    run_parallel_inner(graph, protocol, cfg, threads, &mut scratch, None)
+    execute(graph, protocol, cfg, &mut EngineScratch::empty(), None)
 }
 
-/// [`run_parallel`] with a round observer attached: each shard records
-/// its slice of every busy round, and the merged stream — identical to
-/// what the sequential [`crate::run_observed`] emits — is replayed into
-/// `observer` when the run completes (see [`crate::observer`]).
+/// [`run`], streaming one [`crate::RoundEvent`] per busy round into
+/// `observer`. At one shard the events stream live at the end of each
+/// round; at `k >= 2` each shard records its slice and the merged
+/// stream is replayed when the run completes (nothing on an error). The
+/// stream is identical for every thread count (see [`crate::observer`]).
 ///
 /// # Errors
 ///
-/// Same contract as [`run_parallel`]; on an error nothing is replayed.
-pub fn run_parallel_observed<P>(
+/// Same contract as [`run`].
+pub fn run_observed<P>(
     graph: &Graph,
     protocol: &P,
     cfg: &SimConfig,
-    threads: usize,
     observer: &mut dyn RoundObserver,
 ) -> Result<SimResult<P::State>, SimError>
 where
@@ -130,40 +139,45 @@ where
     P::State: Send,
     P::Msg: Send,
 {
-    let mut scratch = ParScratch::empty();
-    run_parallel_inner(graph, protocol, cfg, threads, &mut scratch, Some(observer))
+    execute(
+        graph,
+        protocol,
+        cfg,
+        &mut EngineScratch::empty(),
+        Some(observer),
+    )
 }
 
-/// [`run_parallel`], reusing caller-owned scratch across runs (the
-/// sharded counterpart of [`crate::run_with_scratch`]).
+/// [`run`], reusing caller-owned scratch buffers across runs.
+///
+/// Repeated executions on the same graph (parameter sweeps, benchmark
+/// loops, repeated phases with one message type) skip all per-run buffer
+/// allocation except the result itself.
 ///
 /// # Errors
 ///
-/// Same contract as [`run_parallel`].
-pub fn run_parallel_with_scratch<P>(
+/// Same contract as [`run`].
+pub fn run_with_scratch<P>(
     graph: &Graph,
     protocol: &P,
     cfg: &SimConfig,
-    threads: usize,
-    scratch: &mut ParScratch<P::Msg>,
+    scratch: &mut EngineScratch<P::Msg>,
 ) -> Result<SimResult<P::State>, SimError>
 where
     P: Protocol + Sync,
     P::State: Send,
     P::Msg: Send,
 {
-    run_parallel_inner(graph, protocol, cfg, threads, scratch, None)
+    execute(graph, protocol, cfg, scratch, None)
 }
 
-/// The one sharded entry point behind every `run_parallel*` variant;
-/// observation is `None` on the unobserved paths, so shards skip trace
-/// recording entirely unless someone is listening.
-fn run_parallel_inner<P>(
+/// The one body behind every entry point: one shard on the calling
+/// thread, or shard 0 there plus `k - 1` spawned workers.
+fn execute<P>(
     graph: &Graph,
     protocol: &P,
     cfg: &SimConfig,
-    threads: usize,
-    scratch: &mut ParScratch<P::Msg>,
+    scratch: &mut EngineScratch<P::Msg>,
     observer: Option<&mut dyn RoundObserver>,
 ) -> Result<SimResult<P::State>, SimError>
 where
@@ -172,70 +186,72 @@ where
     P::Msg: Send,
 {
     cfg.validate()?;
-    let k = threads.max(1);
+    let k = cfg.threads.max(1);
     scratch.fit_to(graph, k);
-    let ParScratch {
+    let EngineScratch {
         plan,
         shards,
         exchange,
         sync,
-        ..
     } = scratch;
     let plan: &ShardPlan = plan;
     let exchange: &Exchange<P::Msg> = exchange;
     let sync: &RoundSync = sync;
 
-    let record = observer.is_some();
-    let mut outcomes: Vec<ShardOutcome<P::State>> = Vec::with_capacity(k);
     let (first, rest) = shards.split_first_mut().expect("k >= 1 shards");
     if rest.is_empty() {
-        // Single shard: run on the calling thread, spawn nothing.
-        outcomes.push(run_shard(
-            0, graph, plan, protocol, cfg, sync, exchange, first, record,
-        ));
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = rest
-                .iter_mut()
-                .enumerate()
-                .map(|(i, sc)| {
-                    scope.spawn(move || {
-                        run_shard(
-                            i + 1,
-                            graph,
-                            plan,
-                            protocol,
-                            cfg,
-                            sync,
-                            exchange,
-                            sc,
-                            record,
-                        )
-                    })
-                })
-                .collect();
-            // Shard 0 runs on the calling thread; one spawn saved.
-            outcomes.push(run_shard(
-                0, graph, plan, protocol, cfg, sync, exchange, first, record,
-            ));
-            for h in handles {
-                outcomes.push(h.join().expect("shard worker died outside a protocol call"));
-            }
-        });
+        // One shard: the whole run on the calling thread, the caller's
+        // observer streaming live.
+        let outcome = run_shard(
+            0, graph, plan, protocol, cfg, sync, exchange, first, observer,
+        );
+        return merge(vec![outcome], &[], None, plan.cut_slots());
     }
-    merge(graph, outcomes, observer, plan.cut_slots())
+    // Each shard records its slice of every busy round into its own log;
+    // the merge sums them entry-wise and replays the global stream.
+    let mut logs: Vec<RoundLog> = Vec::new();
+    if observer.is_some() {
+        logs.resize_with(k, RoundLog::new);
+    }
+    let mut log_of = logs.iter_mut();
+    let log0 = log_of.next();
+    let mut outcomes: Vec<ShardOutcome<P::State>> = Vec::with_capacity(k);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(i, sc)| {
+                let log = log_of.next();
+                scope.spawn(move || {
+                    let log = log.map(|l| l as &mut dyn RoundObserver);
+                    run_shard(i + 1, graph, plan, protocol, cfg, sync, exchange, sc, log)
+                })
+            })
+            .collect();
+        // Shard 0 runs on the calling thread; one spawn saved.
+        let log0 = log0.map(|l| l as &mut dyn RoundObserver);
+        outcomes.push(run_shard(
+            0, graph, plan, protocol, cfg, sync, exchange, first, log0,
+        ));
+        for h in handles {
+            outcomes.push(h.join().expect("shard worker died outside a protocol call"));
+        }
+    });
+    merge(outcomes, &logs, observer, plan.cut_slots())
 }
 
 /// Stitches per-shard outcomes into one [`SimResult`]: states concatenate
 /// in shard (= node) order, per-node energy concatenates, counters sum,
 /// and the global round counts come from shard 0 (every shard computed
-/// the same values). When an observer rode along, the per-shard round
-/// traces — recorded in lockstep, one entry per globally busy round —
-/// are summed entry-wise and replayed in round order, reproducing the
-/// sequential engine's event stream exactly.
+/// the same values). Shard 0's buffers become the result's, so a
+/// one-shard run moves its states and energy out without a copy. When
+/// an observer rode along a `k`-shard run, the per-shard logs —
+/// recorded in lockstep, one entry per globally busy round — are summed
+/// entry-wise and replayed in round order, reproducing the one-shard
+/// stream exactly.
 fn merge<S>(
-    graph: &Graph,
     mut outcomes: Vec<ShardOutcome<S>>,
+    logs: &[RoundLog],
     observer: Option<&mut dyn RoundObserver>,
     cut_slots: u64,
 ) -> Result<SimResult<S>, SimError> {
@@ -249,13 +265,13 @@ fn merge<S>(
             return Err(e);
         }
     }
-    if let Some(obs) = observer {
-        let (head, rest) = outcomes.split_first().expect("k >= 1 outcomes");
-        for (i, ev) in head.trace.iter().enumerate() {
+    if let (Some(obs), Some((head, rest))) = (observer, logs.split_first()) {
+        let mut rest: Vec<_> = rest.iter().map(RoundLog::events).collect();
+        for ev in head.events() {
             let mut sum = ev.clone();
-            for o in rest {
-                let other = &o.trace[i];
-                debug_assert_eq!(other.round, sum.round, "shard traces out of lockstep");
+            for other in &mut rest {
+                let other = other.next().expect("shard logs out of lockstep");
+                debug_assert_eq!(other.round, sum.round, "shard logs out of lockstep");
                 sum.awake += other.awake;
                 sum.messages_sent += other.messages_sent;
                 sum.messages_delivered += other.messages_delivered;
@@ -266,24 +282,19 @@ fn merge<S>(
             obs.on_round(&sum);
         }
     }
-    let n = graph.n();
     let k = outcomes.len();
-    let mut metrics = Metrics::new(n);
-    metrics.awake_rounds.clear();
-    let mut stats = crate::telemetry::EngineStats {
-        shards: k as u64,
-        cut_slots,
-        ..Default::default()
-    };
-    let mut states = Vec::with_capacity(n);
-    for (s, o) in outcomes.into_iter().enumerate() {
-        if s == 0 {
-            metrics.busy_rounds = o.metrics.busy_rounds;
-            metrics.elapsed_rounds = o.metrics.elapsed_rounds;
-        } else {
-            debug_assert_eq!(metrics.busy_rounds, o.metrics.busy_rounds);
-            debug_assert_eq!(metrics.elapsed_rounds, o.metrics.elapsed_rounds);
-        }
+    let mut shards = outcomes.into_iter();
+    let ShardOutcome {
+        mut states,
+        mut metrics,
+        mut stats,
+        ..
+    } = shards.next().expect("k >= 1 outcomes");
+    stats.shards = k as u64;
+    stats.cut_slots = cut_slots;
+    for o in shards {
+        debug_assert_eq!(metrics.busy_rounds, o.metrics.busy_rounds);
+        debug_assert_eq!(metrics.elapsed_rounds, o.metrics.elapsed_rounds);
         metrics.messages_sent += o.metrics.messages_sent;
         metrics.messages_delivered += o.metrics.messages_delivered;
         metrics.messages_dropped += o.metrics.messages_dropped;
@@ -292,24 +303,20 @@ fn merge<S>(
         metrics.bandwidth_violations += o.metrics.bandwidth_violations;
         metrics.max_message_bits = metrics.max_message_bits.max(o.metrics.max_message_bits);
         metrics.probes.absorb(&o.metrics.probes);
+        metrics
+            .awake_rounds
+            .extend_from_slice(&o.metrics.awake_rounds);
         stats.cut_messages += o.stats.cut_messages;
         stats.mailbox_posts += o.stats.mailbox_posts;
         stats.exchange_skipped_pairs += o.stats.exchange_skipped_pairs;
         // Every shard observes the same posted-flag snapshots, so the
-        // local-only count is global, not per-shard: take shard 0's.
-        if s == 0 {
-            stats.local_only_rounds = o.stats.local_only_rounds;
-        } else {
-            debug_assert_eq!(stats.local_only_rounds, o.stats.local_only_rounds);
-        }
+        // local-only count is global, not per-shard: keep shard 0's.
+        debug_assert_eq!(stats.local_only_rounds, o.stats.local_only_rounds);
         stats.peak_bucket = stats.peak_bucket.max(o.stats.peak_bucket);
-        metrics
-            .awake_rounds
-            .extend_from_slice(&o.metrics.awake_rounds);
         states.extend(o.states);
     }
-    debug_assert_eq!(states.len(), n);
-    debug_assert_eq!(metrics.awake_rounds.len(), n);
+    metrics.n = metrics.awake_rounds.len();
+    debug_assert_eq!(states.len(), metrics.n);
     Ok(SimResult {
         states,
         metrics,
@@ -317,61 +324,10 @@ fn merge<S>(
     })
 }
 
-/// Dispatches on [`SimConfig::threads`]: `0` runs the sequential engine
-/// on the calling thread, anything else runs [`run_parallel`] with that
-/// many workers. Bit-identical either way; this is what [`crate::Pipeline`]
-/// and the algorithm entry points call.
-///
-/// # Errors
-///
-/// Same contract as [`crate::run`].
-pub fn run_auto<P>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-) -> Result<SimResult<P::State>, SimError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send,
-{
-    if cfg.threads == 0 {
-        crate::engine::run(graph, protocol, cfg)
-    } else {
-        run_parallel(graph, protocol, cfg, cfg.threads)
-    }
-}
-
-/// [`run_auto`] with a round observer attached; the observed event
-/// stream is identical for every [`SimConfig::threads`] value (streamed
-/// live on the sequential engine, replayed at completion on the sharded
-/// one — see [`crate::observer`]).
-///
-/// # Errors
-///
-/// Same contract as [`crate::run`].
-pub fn run_auto_observed<P>(
-    graph: &Graph,
-    protocol: &P,
-    cfg: &SimConfig,
-    observer: &mut dyn RoundObserver,
-) -> Result<SimResult<P::State>, SimError>
-where
-    P: Protocol + Sync,
-    P::State: Send,
-    P::Msg: Send,
-{
-    if cfg.threads == 0 {
-        crate::engine::run_observed(graph, protocol, cfg, observer)
-    } else {
-        run_parallel_observed(graph, protocol, cfg, cfg.threads, observer)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, Inbox, InitApi, RecvApi, SendApi};
+    use crate::engine::{Inbox, InitApi, RecvApi, SendApi};
     use crate::NodeId;
     use mis_graphs::generators;
     use rand::Rng;
@@ -450,7 +406,7 @@ mod tests {
             let cfg = SimConfig::seeded(11);
             let seq = run(&g, &Gossip { rounds: 12 }, &cfg).unwrap();
             for threads in [1, 2, 3, 4, 8] {
-                let par = run_parallel(&g, &Gossip { rounds: 12 }, &cfg, threads).unwrap();
+                let par = run(&g, &Gossip { rounds: 12 }, &cfg.with_threads(threads)).unwrap();
                 assert_eq!(par.metrics, seq.metrics, "{name} @ {threads} threads");
                 assert_eq!(par.states, seq.states, "{name} @ {threads} threads");
             }
@@ -480,15 +436,13 @@ mod tests {
             for ch in &channels {
                 let cfg = SimConfig::seeded(11).with_channel(ch.clone());
                 let mut seq_log = crate::RoundLog::new();
-                let seq =
-                    crate::run_observed(&g, &Gossip { rounds: 12 }, &cfg, &mut seq_log).unwrap();
+                let seq = run_observed(&g, &Gossip { rounds: 12 }, &cfg, &mut seq_log).unwrap();
                 for threads in [1, 2, 3, 4, 8] {
                     let mut par_log = crate::RoundLog::new();
-                    let par = run_parallel_observed(
+                    let par = run_observed(
                         &g,
                         &Gossip { rounds: 12 },
-                        &cfg,
-                        threads,
+                        &cfg.with_threads(threads),
                         &mut par_log,
                     )
                     .unwrap();
@@ -513,33 +467,86 @@ mod tests {
         for (name, g) in graphs() {
             let cfg = SimConfig::seeded(11);
             let mut seq_log = crate::RoundLog::new();
-            let seq = crate::run_observed(&g, &Gossip { rounds: 12 }, &cfg, &mut seq_log).unwrap();
+            let seq = run_observed(&g, &Gossip { rounds: 12 }, &cfg, &mut seq_log).unwrap();
             for threads in [1, 2, 4] {
                 let mut par_log = crate::RoundLog::new();
-                let par =
-                    run_parallel_observed(&g, &Gossip { rounds: 12 }, &cfg, threads, &mut par_log)
-                        .unwrap();
+                let par = run_observed(
+                    &g,
+                    &Gossip { rounds: 12 },
+                    &cfg.with_threads(threads),
+                    &mut par_log,
+                )
+                .unwrap();
                 assert_eq!(par.metrics, seq.metrics, "{name} @ {threads} threads");
                 assert_eq!(par_log, seq_log, "{name} @ {threads} threads: event stream");
             }
         }
     }
 
+    /// At one shard (`threads` 0 or 1) the observer streams live: when a
+    /// node runs its receive half in the r-th busy round (1-based), the
+    /// observer has already seen the r − 1 rounds before it. At `k >= 2`
+    /// the merged stream is replayed on completion instead, so nothing
+    /// is seen mid-run, and the full stream arrives at the end.
+    #[test]
+    fn one_shard_observer_streams_live() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        struct Seen<'a>(&'a AtomicU64);
+        impl crate::RoundObserver for Seen<'_> {
+            fn on_round(&mut self, _event: &crate::RoundEvent) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        /// Every node awake in rounds 0..5; each receive half records
+        /// how many events the observer had seen at that moment.
+        struct Probe<'a>(&'a AtomicU64);
+        impl Protocol for Probe<'_> {
+            type State = Vec<u64>;
+            type Msg = ();
+            fn init(&self, _node: NodeId, api: &mut InitApi<'_>) -> Vec<u64> {
+                api.wake_range(0..5);
+                Vec::new()
+            }
+            fn send(&self, _s: &mut Vec<u64>, api: &mut SendApi<'_, ()>) {
+                api.broadcast(());
+            }
+            fn recv(&self, s: &mut Vec<u64>, _i: Inbox<'_, ()>, _api: &mut RecvApi<'_>) {
+                s.push(self.0.load(Ordering::Relaxed));
+            }
+        }
+        let g = generators::grid2d(6, 6);
+        for threads in [0, 1, 2] {
+            let seen = AtomicU64::new(0);
+            let cfg = SimConfig::seeded(1).with_threads(threads);
+            let res = run_observed(&g, &Probe(&seen), &cfg, &mut Seen(&seen)).unwrap();
+            let live: Vec<u64> = (0..5).collect();
+            for (v, at) in res.states.iter().enumerate() {
+                if threads <= 1 {
+                    // Busy round r (1-based) sees r - 1 earlier events.
+                    assert_eq!(at, &live, "threads {threads}, node {v}");
+                } else {
+                    assert_eq!(at, &[0; 5], "threads {threads}, node {v}: replayed");
+                }
+            }
+            assert_eq!(seen.load(Ordering::Relaxed), 5, "threads {threads}");
+        }
+    }
+
     /// Probes (inside `Metrics`) are thread-invariant — covered by every
     /// `par.metrics == seq.metrics` assertion above — while the
-    /// per-configuration `stats` legitimately differ: the sequential
-    /// engine reports 0 shards and no cut traffic, a 2-worker run
-    /// reports 2 shards and nonzero mailbox activity.
+    /// per-configuration `stats` legitimately differ: a one-shard run
+    /// reports 1 shard and no cut traffic, a 2-worker run reports 2
+    /// shards and nonzero mailbox activity.
     #[test]
     fn engine_stats_report_shards_and_cut_traffic() {
         let g = generators::grid2d(8, 8);
         let cfg = SimConfig::seeded(11);
         let seq = run(&g, &Gossip { rounds: 8 }, &cfg).unwrap();
-        assert_eq!(seq.stats.shards, 0);
+        assert_eq!(seq.stats.shards, 1);
         assert_eq!(seq.stats.cut_messages, 0);
         assert_eq!(seq.stats.mailbox_posts, 0);
         assert!(seq.metrics.probes.wakeups_scheduled > 0, "probes dead");
-        let par = run_parallel(&g, &Gossip { rounds: 8 }, &cfg, 2).unwrap();
+        let par = run(&g, &Gossip { rounds: 8 }, &cfg.with_threads(2)).unwrap();
         assert_eq!(par.stats.shards, 2);
         assert!(par.stats.cut_messages > 0, "a split grid has cut edges");
         assert!(par.stats.mailbox_posts > 0);
@@ -547,10 +554,10 @@ mod tests {
     }
 
     #[test]
-    fn run_auto_dispatches_on_threads() {
+    fn run_dispatches_on_threads() {
         let g = generators::cycle(40);
-        let seq = run_auto(&g, &Gossip { rounds: 8 }, &SimConfig::seeded(3)).unwrap();
-        let par = run_auto(
+        let seq = run(&g, &Gossip { rounds: 8 }, &SimConfig::seeded(3)).unwrap();
+        let par = run(
             &g,
             &Gossip { rounds: 8 },
             &SimConfig::seeded(3).with_threads(4),
@@ -558,6 +565,7 @@ mod tests {
         .unwrap();
         assert_eq!(seq.metrics, par.metrics);
         assert_eq!(seq.states, par.states);
+        assert_eq!((seq.stats.shards, par.stats.shards), (1, 4));
     }
 
     #[test]
@@ -566,16 +574,14 @@ mod tests {
         let cfg = SimConfig::seeded(7);
         let baseline = run(&g, &Gossip { rounds: 10 }, &cfg).unwrap();
 
-        let mut scratch = ParScratch::new(&g, 4);
-        let first =
-            run_parallel_with_scratch(&g, &Gossip { rounds: 10 }, &cfg, 4, &mut scratch).unwrap();
+        let par = cfg.with_threads(4);
+        let mut scratch = EngineScratch::new(&g, 4);
+        let first = run_with_scratch(&g, &Gossip { rounds: 10 }, &par, &mut scratch).unwrap();
         // One more warmup run: exchange buffers ping-pong capacity with
         // the mailboxes, so the steady state needs a full swap cycle.
-        let _ =
-            run_parallel_with_scratch(&g, &Gossip { rounds: 10 }, &cfg, 4, &mut scratch).unwrap();
+        let _ = run_with_scratch(&g, &Gossip { rounds: 10 }, &par, &mut scratch).unwrap();
         let warm = scratch.capacity_signature();
-        let third =
-            run_parallel_with_scratch(&g, &Gossip { rounds: 10 }, &cfg, 4, &mut scratch).unwrap();
+        let third = run_with_scratch(&g, &Gossip { rounds: 10 }, &par, &mut scratch).unwrap();
         assert_eq!(
             warm,
             scratch.capacity_signature(),
@@ -592,13 +598,21 @@ mod tests {
         let g1 = generators::path(50);
         let g2 = generators::grid2d(8, 8);
         let cfg = SimConfig::seeded(2);
-        let mut scratch = ParScratch::new(&g1, 2);
-        let a =
-            run_parallel_with_scratch(&g1, &Gossip { rounds: 6 }, &cfg, 2, &mut scratch).unwrap();
-        let b =
-            run_parallel_with_scratch(&g2, &Gossip { rounds: 6 }, &cfg, 5, &mut scratch).unwrap();
-        let c =
-            run_parallel_with_scratch(&g1, &Gossip { rounds: 6 }, &cfg, 3, &mut scratch).unwrap();
+        let mut scratch = EngineScratch::new(&g1, 2);
+        let on = |g: &Graph, threads: usize, scratch: &mut EngineScratch<u32>| {
+            run_with_scratch(
+                g,
+                &Gossip { rounds: 6 },
+                &cfg.with_threads(threads),
+                scratch,
+            )
+            .unwrap()
+        };
+        let a = on(&g1, 2, &mut scratch);
+        let b = on(&g2, 5, &mut scratch);
+        let c = on(&g1, 3, &mut scratch);
+        let d = on(&g2, 0, &mut scratch);
+        assert_eq!(d.states, b.states);
         assert_eq!(
             a.metrics,
             run(&g1, &Gossip { rounds: 6 }, &cfg).unwrap().metrics
@@ -615,7 +629,7 @@ mod tests {
         let g = generators::path(3);
         let cfg = SimConfig::seeded(1);
         let seq = run(&g, &Gossip { rounds: 5 }, &cfg).unwrap();
-        let par = run_parallel(&g, &Gossip { rounds: 5 }, &cfg, 8).unwrap();
+        let par = run(&g, &Gossip { rounds: 5 }, &cfg.with_threads(8)).unwrap();
         assert_eq!(par.metrics, seq.metrics);
         assert_eq!(par.states, seq.states);
     }
@@ -645,7 +659,8 @@ mod tests {
         // last shard when split; every thread count must reject it.
         let g = generators::star(32);
         for threads in [1, 2, 4] {
-            let err = run_parallel(&g, &CrossDouble, &SimConfig::default(), threads).unwrap_err();
+            let cfg = SimConfig::default().with_threads(threads);
+            let err = run(&g, &CrossDouble, &cfg).unwrap_err();
             assert!(
                 matches!(err, SimError::DuplicateDestination { src: 0, .. }),
                 "threads {threads}: {err:?}"
@@ -675,7 +690,7 @@ mod tests {
         };
         for threads in [1, 3] {
             assert_eq!(
-                run_parallel(&g, &Forever, &cfg, threads).unwrap_err(),
+                run(&g, &Forever, &cfg.with_threads(threads)).unwrap_err(),
                 SimError::ExceededMaxRounds { max_rounds: 50 }
             );
         }
@@ -703,7 +718,7 @@ mod tests {
         let seq = run(&g, &FarSleeper, &cfg).unwrap_err();
         for threads in [1, 2] {
             assert_eq!(
-                run_parallel(&g, &FarSleeper, &cfg, threads).unwrap_err(),
+                run(&g, &FarSleeper, &cfg.with_threads(threads)).unwrap_err(),
                 seq,
                 "threads {threads}"
             );
@@ -725,9 +740,9 @@ mod tests {
             fn recv(&self, _s: &mut (), _i: Inbox<'_, ()>, _api: &mut RecvApi<'_>) {}
         }
         let g = generators::path(10);
-        for threads in [1, 2, 4] {
+        for threads in [0, 1, 2, 4] {
             let res = std::panic::catch_unwind(|| {
-                let _ = run_parallel(&g, &Bomb, &SimConfig::default(), threads);
+                let _ = run(&g, &Bomb, &SimConfig::default().with_threads(threads));
             });
             assert!(res.is_err(), "threads {threads}: panic swallowed");
         }
@@ -754,13 +769,13 @@ mod tests {
         }
         let g = generators::cycle(24);
         let cfg = SimConfig::default();
-        let mut scratch = ParScratch::new(&g, 3);
-        let err = run_parallel_with_scratch(&g, &FailLate, &cfg, 3, &mut scratch).unwrap_err();
+        let par_cfg = cfg.with_threads(3);
+        let mut scratch = EngineScratch::new(&g, 3);
+        let err = run_with_scratch(&g, &FailLate, &par_cfg, &mut scratch).unwrap_err();
         assert!(matches!(err, SimError::DuplicateDestination { .. }));
-        // A good protocol on the same scratch still matches sequential.
+        // A good protocol on the same scratch still matches one shard.
         let seq = run(&g, &Gossip { rounds: 7 }, &cfg).unwrap();
-        let par =
-            run_parallel_with_scratch(&g, &Gossip { rounds: 7 }, &cfg, 3, &mut scratch).unwrap();
+        let par = run_with_scratch(&g, &Gossip { rounds: 7 }, &par_cfg, &mut scratch).unwrap();
         assert_eq!(par.metrics, seq.metrics);
         assert_eq!(par.states, seq.states);
     }
@@ -786,7 +801,7 @@ mod tests {
             ..SimConfig::default()
         };
         let seq = run(&g, &Big, &lax).unwrap();
-        let par = run_parallel(&g, &Big, &lax, 4).unwrap();
+        let par = run(&g, &Big, &lax.with_threads(4)).unwrap();
         assert_eq!(seq.metrics, par.metrics);
         assert_eq!(seq.metrics.bandwidth_violations, 40);
 
@@ -796,7 +811,7 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(matches!(
-            run_parallel(&g, &Big, &strict, 2).unwrap_err(),
+            run(&g, &Big, &strict.with_threads(2)).unwrap_err(),
             SimError::BandwidthExceeded { .. }
         ));
     }

@@ -1,4 +1,13 @@
-//! One worker thread's shard: scratch state and the per-shard round loop.
+//! One shard: scratch state and the round loop — the engine's only one.
+//!
+//! Every run executes this loop: a one-shard run (`threads` 0 or 1)
+//! runs it once on the calling thread, a `k`-shard run once per worker.
+//! The one-shard differences are all computed once per run from the
+//! plan, never per message: a shard with no cut pairs never stages,
+//! never sizes its `out_stamp` array and never touches the exchange,
+//! and a shard with no peers calls the protocol without `catch_unwind`
+//! (a panic has no one to strand, so it unwinds straight to the caller)
+//! and streams its round events live to the caller's observer.
 //!
 //! # The one-barrier round
 //!
@@ -25,13 +34,11 @@ use super::exchange::{Exchange, RoundSync};
 use super::partition::ShardPlan;
 use crate::bits::NodeBits;
 use crate::channel::FaultPlan;
-use crate::engine::{
-    EdgeSlot, Inbox, InitApi, Protocol, RecvApi, SendApi, ShardSink, SimConfig, Sink,
-};
+use crate::engine::{EdgeSlot, Inbox, InitApi, Protocol, RecvApi, SendApi, ShardSink, SimConfig};
 use crate::error::SimError;
 use crate::message::Message;
 use crate::metrics::Metrics;
-use crate::observer::RoundEvent;
+use crate::observer::{RoundEvent, RoundObserver};
 use crate::rng;
 use crate::sched::BucketScheduler;
 use crate::{NodeId, Round};
@@ -39,9 +46,12 @@ use mis_graphs::Graph;
 use rand::rngs::SmallRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Reusable per-shard buffers, the sharded mirror of
-/// [`crate::EngineScratch`]: everything a worker touches per round lives
-/// here, sized once and recycled across rounds and runs.
+/// Reusable per-shard buffers, one per shard of a [`crate::EngineScratch`]:
+/// everything a shard touches per round lives here, sized once and
+/// recycled across rounds and runs. There is **no inbox buffer**:
+/// receivers borrow messages in place from `slots` through the [`Inbox`]
+/// view. Slot stamps are compared against a monotonically increasing
+/// tick, so reuse never requires clearing the O(m) slot array.
 #[derive(Debug)]
 pub(crate) struct ShardScratch<M> {
     sched: BucketScheduler,
@@ -69,8 +79,9 @@ pub(crate) struct ShardScratch<M> {
     slots: Vec<EdgeSlot<M>>,
     /// Sender-side duplicate-destination stamps (same index space),
     /// consulted only for *cross-shard* sends — local sends reuse the
-    /// receiver slot's claim stamp like the sequential engine, so this
-    /// array stays out of the send half's working set for local traffic.
+    /// receiver slot's claim stamp, so this array stays out of the send
+    /// half's working set for local traffic. Sized only for a shard with
+    /// out-pairs: without cut edges (always, at one shard) it stays empty.
     out_stamp: Vec<u64>,
     /// Receiver-side sequence expectations, one per in-pair: how many
     /// busy rounds that pair's src shard has participated in so far.
@@ -97,9 +108,9 @@ impl<M: Message> ShardScratch<M> {
         }
     }
 
-    /// Resizes for this shard of the plan and resets per-run state; the
-    /// tick (and thus all stamp arrays) carries over, as in the
-    /// sequential scratch.
+    /// Resizes for this shard of the plan and resets per-run state (halts,
+    /// queue, staging). The tick — and therefore every stamp array —
+    /// carries over untouched.
     fn fit_to(&mut self, plan: &ShardPlan, shard: usize) {
         let local_n = plan.nodes(shard).len();
         let local_slots = plan.slots(shard).len();
@@ -111,8 +122,9 @@ impl<M: Message> ShardScratch<M> {
             // is next written; drop leftovers from the previous run.
             slot.msg = None;
         }
-        self.out_stamp.resize(local_slots, 0);
         let out_pairs = plan.out_pairs(shard);
+        let stamped = if out_pairs.is_empty() { 0 } else { local_slots };
+        self.out_stamp.resize(stamped, 0);
         self.out.truncate(out_pairs.len());
         self.out.resize_with(out_pairs.len(), Vec::new);
         for (oi, buf) in self.out.iter_mut().enumerate() {
@@ -155,11 +167,10 @@ impl<M: Message> ShardScratch<M> {
     /// Number of scratch buffers before the variable-length tail of
     /// [`ShardScratch::capacity_signature`]; pinned by tests so a retired
     /// buffer cannot silently come back.
-    #[allow(dead_code, reason = "test-facing layout pin")]
     pub const FIXED_BUFFERS: usize = 9;
 }
 
-/// What one worker hands back: its nodes' final states (in node order),
+/// What one shard hands back: its nodes' final states (in node order),
 /// its slice of the metrics, and how the run ended.
 pub(crate) struct ShardOutcome<S> {
     pub states: Vec<S>,
@@ -167,13 +178,9 @@ pub(crate) struct ShardOutcome<S> {
     /// `busy_rounds`/`elapsed_rounds` are identical in every shard (all
     /// observe the same agreed rounds and total active counts).
     pub metrics: Metrics,
-    /// This shard's slice of the per-round event stream (empty unless
-    /// the run was observed): one entry per globally busy round, in
-    /// lockstep across shards, carrying shard-local counts that the
-    /// merge step sums into the global [`RoundEvent`] stream.
-    pub trace: Vec<RoundEvent>,
     pub error: Option<SimError>,
-    /// A panic caught at the protocol boundary, re-raised by the caller.
+    /// A panic caught at the protocol boundary, re-raised by the caller
+    /// (always `None` at one shard, where nothing is caught).
     pub panic: Option<Box<dyn std::any::Any + Send>>,
     /// This shard's per-configuration stats slice (cut traffic, mailbox
     /// posts, fast-path counters, scheduler peak); merged by
@@ -181,10 +188,27 @@ pub(crate) struct ShardOutcome<S> {
     pub stats: crate::telemetry::EngineStats,
 }
 
-/// Runs one shard of a parallel run to completion. All workers execute
-/// this same function; cross-shard coordination happens only through
-/// `sync` (the per-round publish + rendezvous) and `exchange` (per-pair
-/// sequence-counted payload cells).
+/// Runs one protocol callback. With peers (`guarded`), a panic is caught
+/// so the shard can publish the failure and let every worker shut down
+/// at the next rendezvous instead of stranding them at the barrier;
+/// alone, the callback runs bare and a panic unwinds to the caller.
+#[inline]
+fn call<R>(guarded: bool, f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    if guarded {
+        catch_unwind(AssertUnwindSafe(f))
+    } else {
+        Ok(f())
+    }
+}
+
+/// Runs one shard of a run to completion. Every run executes this same
+/// function, once per shard; cross-shard coordination happens only
+/// through `sync` (the per-round publish + rendezvous) and `exchange`
+/// (per-pair sequence-counted payload cells).
+///
+/// `observer` receives this shard's slice of every busy round at the
+/// end of that round: at one shard that is the whole round, so the
+/// caller's observer is passed straight through and streams live.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_shard<P: Protocol>(
     shard: usize,
@@ -195,15 +219,15 @@ pub(crate) fn run_shard<P: Protocol>(
     sync: &RoundSync,
     exchange: &Exchange<P::Msg>,
     scratch: &mut ShardScratch<P::Msg>,
-    record_trace: bool,
+    mut observer: Option<&mut dyn RoundObserver>,
 ) -> ShardOutcome<P::State> {
     let nodes = plan.nodes(shard);
     let node_base = nodes.start;
-    let node_end = nodes.end;
     let local_n = nodes.len();
     let slot_base = plan.slots(shard).start;
     let out_pairs = plan.out_pairs(shard);
     let in_pairs = plan.in_pairs(shard);
+    let guarded = plan.k() > 1;
     // The same pure fault plan every shard derives from (seed, salt):
     // channel decisions depend only on (round, edge) / (node, round),
     // never on which shard evaluates them.
@@ -230,7 +254,6 @@ pub(crate) fn run_shard<P: Protocol>(
 
     let mut metrics = Metrics::new(local_n);
     let mut states: Vec<P::State> = Vec::with_capacity(local_n);
-    let mut trace: Vec<RoundEvent> = Vec::new();
     let mut error: Option<SimError> = None;
     let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
     let mut last_round: Option<Round> = None;
@@ -244,12 +267,12 @@ pub(crate) fn run_shard<P: Protocol>(
     // number all of its out-pair cells advance to, together, per round.
     let mut sent_rounds: u64 = 0;
 
-    // Initialization (free local pre-computation), local nodes only.
+    // Initialization: free local pre-computation, may request wakeups.
     for v in nodes.clone() {
         wakes.clear();
         let li = (v - node_base) as usize;
         let mut api = InitApi::new(v, graph, &mut rngs[li], wakes);
-        match catch_unwind(AssertUnwindSafe(|| protocol.init(v, &mut api))) {
+        match call(guarded, || protocol.init(v, &mut api)) {
             Ok(state) => states.push(state),
             Err(p) => {
                 // Published as failed in the first tuple below, so every
@@ -285,7 +308,10 @@ pub(crate) fn run_shard<P: Protocol>(
         // its nodes (wakeups are receiver-local, and we sit out every
         // round until this candidate is agreed), and the fault decisions
         // below are pure in (node, candidate round) — so the result is
-        // bit-identical to draining after agreement.
+        // bit-identical to draining after agreement. The awake bit
+        // dedups repeated wakeups and the halted bit drops dead nodes;
+        // no sort needed (processing order within a round is
+        // unobservable — per-node RNGs, slot-indexed delivery).
         if pending.is_none() && error.is_none() && panic.is_none() {
             if let Some(round) = sched.peek_round() {
                 let popped = sched.pop_round();
@@ -297,9 +323,11 @@ pub(crate) fn run_shard<P: Protocol>(
                         metrics.probes.wakeups_deduped += 1;
                         continue;
                     }
-                    // Adversary hooks, identical to the sequential
-                    // drain: crash halts the node, a forced-sleep window
-                    // consumes the wakeup.
+                    // Adversarial channel: a crash kills the node at its
+                    // next wakeup on or after the crash round; a
+                    // forced-sleep window consumes the wakeup (the node
+                    // misses the round entirely, spending no energy).
+                    // Pure in (node, round), so every layout agrees.
                     if faults.crashes(v, round) {
                         halted.set(li);
                         metrics.probes.crash_halts += 1;
@@ -371,7 +399,8 @@ pub(crate) fn run_shard<P: Protocol>(
         last_round = Some(round);
         metrics.busy_rounds += 1;
         prev_busy = true;
-        // Counter snapshot for this shard's slice of the round event.
+        // Counter snapshot so the observer (if any) sees this shard's
+        // per-round deltas.
         let (sent_before, delivered_before, dropped_before, collisions_before, bits_before) = (
             metrics.messages_sent,
             metrics.messages_delivered,
@@ -386,20 +415,22 @@ pub(crate) fn run_shard<P: Protocol>(
                 metrics.awake_rounds[(v - node_base) as usize] += 1;
             }
             // Send half: local deliveries straight into our slots,
-            // cross-shard payloads staged into per-cut-pair buffers.
+            // cross-shard payloads staged into per-cut-pair buffers;
+            // each node's CONGEST accounting is tallied locally and
+            // committed in one batch per node, not one update per
+            // message.
             for &v in active.iter() {
                 let li = (v - node_base) as usize;
-                let sink = Sink::Sharded(ShardSink {
+                let sink = ShardSink {
                     slots: &mut slots[..],
                     out_stamp: &mut out_stamp[..],
                     awake: &*awake,
                     node_base,
-                    node_end,
                     slot_base,
                     slot_starts: plan.slot_boundaries(),
                     pair_local: plan.pair_local(shard),
                     out: &mut out[..],
-                });
+                };
                 let mut api = SendApi::new(
                     v,
                     round,
@@ -412,16 +443,13 @@ pub(crate) fn run_shard<P: Protocol>(
                     cfg,
                     &mut error,
                 );
-                let sent = catch_unwind(AssertUnwindSafe(|| {
-                    protocol.send(&mut states[li], &mut api)
-                }));
-                if let Err(p) = sent {
+                if let Err(p) = call(guarded, || protocol.send(&mut states[li], &mut api)) {
                     panic = Some(p);
                     break;
                 }
                 metrics.commit_send(api.into_tally());
                 if error.is_some() {
-                    break; // mirror the sequential engine's first-error abort
+                    break; // the first CONGEST violation aborts the run
                 }
             }
             // Advance every out-pair's sequence counter — *always*, even
@@ -474,10 +502,9 @@ pub(crate) fn run_shard<P: Protocol>(
                         if faults.drops(round, rid) {
                             // Channel loss for a cross-shard delivery:
                             // the receiving shard applies the same pure
-                            // (round, rid) decision the sequential
-                            // engine made at claim time, at the same
-                            // commit point where delivered counts
-                            // accrue.
+                            // (round, rid) decision a local send makes
+                            // at claim time, at the same commit point
+                            // where delivered counts accrue.
                             channel_dropped += 1;
                         } else {
                             let slot = &mut slots[rid - slot_base];
@@ -486,8 +513,8 @@ pub(crate) fn run_shard<P: Protocol>(
                             applied += 1;
                         }
                     } // else: receiver asleep, payload dropped (as at
-                      // send time in the sequential engine — same
-                      // round, same loss)
+                      // send time for a local receiver — same round,
+                      // same loss)
                 }
             } else {
                 // Not participating means *none* of our nodes are awake
@@ -502,9 +529,10 @@ pub(crate) fn run_shard<P: Protocol>(
         metrics.messages_dropped += channel_dropped;
 
         if participating {
-            // Radio-collision pass over our local receivers, mirroring
-            // the sequential engine's pass between send and recv halves.
-            // All deliveries into a node's slots were counted in its own
+            // Radio-collision pass: between the send half (all slots
+            // written) and the receive half, each local receiver that
+            // heard ≥ 2 simultaneous transmissions loses them all. All
+            // deliveries into a node's slots were counted in its own
             // shard's metrics (local sends by the sender's tally here,
             // cross-shard by `applied` above), so decrementing here
             // keeps the merged totals exact.
@@ -545,10 +573,7 @@ pub(crate) fn run_shard<P: Protocol>(
                 wakes.clear();
                 let mut halt = false;
                 let mut api = RecvApi::new(v, round, graph, &mut rngs[li], wakes, &mut halt);
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    protocol.recv(&mut states[li], inbox, &mut api)
-                }));
-                if let Err(p) = res {
+                if let Err(p) = call(guarded, || protocol.recv(&mut states[li], inbox, &mut api)) {
                     // Published in the next tuple, observed by all after
                     // the next barrier; our sequence counters for this
                     // round are already bumped, so no receiver hangs on
@@ -566,12 +591,12 @@ pub(crate) fn run_shard<P: Protocol>(
             }
         }
 
-        if record_trace {
-            // Shard-local slice of this busy round; every shard appends
-            // in lockstep (same rounds, same order), so the merge step
-            // can sum entry-wise into the global event stream. A
+        if let Some(obs) = observer.as_deref_mut() {
+            // This shard's slice of the busy round; every shard reports
+            // in lockstep (same rounds, same order), so a k-shard run
+            // can sum the slices entry-wise into the global stream. A
             // non-participating shard contributes an all-zero slice.
-            trace.push(RoundEvent {
+            obs.on_round(&RoundEvent {
                 round,
                 awake: if participating {
                     active.len() as u64
@@ -588,8 +613,9 @@ pub(crate) fn run_shard<P: Protocol>(
 
         if participating {
             // Reset this round's awake bits, touching only active
-            // nodes' words, and release the candidate's node list (the
-            // next speculative drain refills both).
+            // nodes' words (sparse rounds stay O(active)), and release
+            // the candidate's node list (the next speculative drain
+            // refills both).
             for &v in active.iter() {
                 awake.clear((v - node_base) as usize);
             }
@@ -598,17 +624,17 @@ pub(crate) fn run_shard<P: Protocol>(
     }
 
     metrics.elapsed_rounds = last_round.map_or(0, |r| r + 1);
-    // Scheduler probes mirror the sequential engine: insertion volume
-    // and spills sum to the sequential totals across shards (every
-    // schedule() happens against base == current round in both engines,
-    // and every speculatively drained bucket is eventually agreed on a
-    // successful run); the peak bucket is shard-layout dependent and
-    // stays in stats.
+    // Scheduler probes: insertion volume and spills are layout-invariant
+    // (every schedule() call happens against base == current round, and
+    // every speculatively drained bucket is eventually agreed on a
+    // successful run), so per-shard values sum to the same totals at
+    // every shard count; the peak bucket depends on shard layout, so it
+    // lands in the per-configuration stats instead.
     let sched_stats = sched.stats();
     metrics.probes.wakeups_scheduled = sched_stats.scheduled;
     metrics.probes.sched_spills = sched_stats.spilled;
     let stats = crate::telemetry::EngineStats {
-        shards: 0, // the merge step records the worker count
+        shards: 0, // the merge step records the shard count
         cut_messages,
         mailbox_posts,
         exchange_skipped_pairs,
@@ -619,7 +645,6 @@ pub(crate) fn run_shard<P: Protocol>(
     ShardOutcome {
         states,
         metrics,
-        trace,
         error,
         panic,
         stats,
@@ -633,24 +658,33 @@ mod tests {
     /// The signature layout is exactly the fixed buffers plus the
     /// variable staging/scheduler tail — pinning that the slice-era
     /// per-node inbox buffer is gone, and that the staging tail is one
-    /// buffer per *cut pair*, not per shard.
+    /// buffer per *cut pair*, not per shard. The one-shard plan pins the
+    /// one-shard run's footprint: no pairs, and no `out_stamp` array.
     #[test]
     fn capacity_signature_is_fixed_buffers_plus_tail() {
         let g = mis_graphs::generators::grid2d(3, 3);
-        let mut plan = ShardPlan::new();
-        plan.rebuild(&g, 2);
-        let mut s: ShardScratch<u32> = ShardScratch::new();
-        s.fit_to(&plan, 0);
-        let mut sig = Vec::new();
-        s.capacity_signature(&mut sig);
-        let mut sched_sig = Vec::new();
-        s.sched.capacity_signature(&mut sched_sig);
-        assert_eq!(
-            sig.len(),
-            ShardScratch::<u32>::FIXED_BUFFERS + s.out.len() + sched_sig.len()
-        );
-        // A 2-way split of a connected grid has exactly one out-pair.
-        assert_eq!(s.out.len(), 1);
-        assert_eq!(s.in_seq.len(), 1);
+        for (k, pairs) in [(2, 1), (1, 0)] {
+            let mut plan = ShardPlan::new();
+            plan.rebuild(&g, k);
+            let mut s: ShardScratch<u32> = ShardScratch::new();
+            s.fit_to(&plan, 0);
+            let mut sig = Vec::new();
+            s.capacity_signature(&mut sig);
+            let mut sched_sig = Vec::new();
+            s.sched.capacity_signature(&mut sched_sig);
+            assert_eq!(
+                sig.len(),
+                ShardScratch::<u32>::FIXED_BUFFERS + s.out.len() + sched_sig.len()
+            );
+            // A 2-way split of a connected grid has exactly one out-pair
+            // and one in-pair; a single shard has none of either.
+            assert_eq!(s.out.len(), pairs, "k = {k}");
+            assert_eq!(s.in_seq.len(), pairs, "k = {k}");
+            if k == 1 {
+                assert_eq!(s.out_stamp.capacity(), 0, "one shard stamps nothing");
+            } else {
+                assert_eq!(s.out_stamp.len(), plan.slots(0).len());
+            }
+        }
     }
 }

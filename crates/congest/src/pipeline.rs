@@ -4,7 +4,7 @@ use crate::engine::{Protocol, SimConfig, SimResult};
 use crate::error::SimError;
 use crate::metrics::Metrics;
 use crate::observer::RoundObserver;
-use crate::par::{run_auto, run_auto_observed};
+use crate::par::{run, run_observed};
 use mis_graphs::Graph;
 
 /// Chains protocol phases on one graph, accumulating time and energy the
@@ -89,9 +89,9 @@ impl<'g, 'o> Pipeline<'g, 'o> {
     /// Runs one phase, folds its metrics into the total, and returns the
     /// final per-node states.
     ///
-    /// Phases execute on the engine selected by [`SimConfig::threads`]
-    /// (sequential at 0, sharded parallel otherwise) with bit-identical
-    /// results either way.
+    /// Phases execute on [`SimConfig::threads`] shards (one on the
+    /// calling thread at 0 or 1) with bit-identical results for every
+    /// value.
     ///
     /// # Errors
     ///
@@ -111,9 +111,9 @@ impl<'g, 'o> Pipeline<'g, 'o> {
         } = match self.observer.as_deref_mut() {
             Some(obs) => {
                 obs.on_phase(name);
-                run_auto_observed(self.graph, protocol, &cfg, obs)?
+                run_observed(self.graph, protocol, &cfg, obs)?
             }
-            None => run_auto(self.graph, protocol, &cfg)?,
+            None => run(self.graph, protocol, &cfg)?,
         };
         self.total.absorb(&metrics);
         self.engine.absorb(&stats);

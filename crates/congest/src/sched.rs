@@ -133,9 +133,9 @@ impl BucketScheduler {
     }
 
     /// Earliest queued round without advancing the window — what
-    /// [`pop_round`] would return, with no mutation. The parallel engine
-    /// uses this to negotiate the global next round across shards before
-    /// any shard commits to it.
+    /// [`pop_round`] would return, with no mutation. The round loop
+    /// uses this to find its candidate round, which the shards agree on
+    /// before any of them executes it.
     ///
     /// [`pop_round`]: BucketScheduler::pop_round
     pub fn peek_round(&self) -> Option<Round> {

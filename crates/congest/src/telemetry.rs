@@ -30,12 +30,12 @@
 //! runs across engines must strip the last two sections — see
 //! `trace_tool diff` in the bench crate.
 
-/// Deterministic engine-internal probe counters, accumulated in both
-/// the sequential and the sharded engine along identical code paths.
+/// Deterministic engine-internal probe counters, accumulated by the one
+/// round loop at every shard count.
 ///
 /// Lives inside [`crate::Metrics`] (as [`crate::Metrics::probes`]) so it
 /// flows through phase accounting, pipeline absorption, and every
-/// sequential-vs-parallel equality assertion for free. All fields are
+/// cross-thread-count equality assertion for free. All fields are
 /// pure functions of `(graph, protocol, SimConfig)` — independent of
 /// thread count and shard layout.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,10 +86,11 @@ impl EngineProbes {
 /// cross-engine fingerprints or the deterministic trace sections.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Worker shards the run executed on (`0` = the sequential engine).
+    /// Shards the run executed on: `max(threads, 1)`, so `1` for a
+    /// one-shard run at [`crate::SimConfig::threads`] `0` or `1`.
     pub shards: u64,
     /// Cross-shard messages staged through the pair-cell exchange
-    /// (cut-edge traffic; always `0` on the sequential engine).
+    /// (cut-edge traffic; always `0` at one shard).
     pub cut_messages: u64,
     /// Buffer swaps posted to the exchange — **non-empty posts only**:
     /// a cut pair with nothing staged this round advances its sequence

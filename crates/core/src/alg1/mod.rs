@@ -24,7 +24,7 @@ use phase1::Phase1Protocol;
 /// Runs Algorithm 1 end to end under an explicit engine config: every
 /// phase runs with `cfg`'s seed, round cap, bandwidth policy, and — most
 /// notably — [`SimConfig::threads`], so the whole pipeline executes on
-/// the sharded parallel engine when `threads > 0` (bit-identical results
+/// that many worker shards when `threads >= 2` (bit-identical results
 /// either way).
 ///
 /// # Errors

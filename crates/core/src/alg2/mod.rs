@@ -19,8 +19,8 @@ use mis_graphs::{props, Graph};
 use phase1::{Alg2Cleanup, Alg2Phase1Iteration};
 
 /// Runs Algorithm 2 end to end under an explicit engine config; with
-/// [`SimConfig::threads`] `> 0` every phase executes on the sharded
-/// parallel engine, with bit-identical results to the sequential run.
+/// [`SimConfig::threads`] `>= 2` every phase executes on that many
+/// worker shards, with bit-identical results to the one-shard run.
 ///
 /// # Errors
 ///

@@ -134,8 +134,8 @@ pub struct PhaseI2Stats {
 /// Runs the full constant-average-energy pipeline — Phase I, the Lemma
 /// 4.1/4.2 module with node reduction, then Phases II+III on the
 /// leftovers — under an explicit engine config; with
-/// [`SimConfig::threads`] `> 0` every phase executes on the sharded
-/// parallel engine, with bit-identical results to the sequential run.
+/// [`SimConfig::threads`] `>= 2` every phase executes on that many
+/// worker shards, with bit-identical results to the one-shard run.
 ///
 /// # Errors
 ///

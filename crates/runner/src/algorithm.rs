@@ -50,8 +50,8 @@ impl RunConfig {
         SimConfig::seeded(seed).into()
     }
 
-    /// Sets the parallel worker count (`0` = the sequential engine);
-    /// results are bit-identical for every value.
+    /// Sets the worker count (`0` and `1` = one shard on the calling
+    /// thread); results are bit-identical for every value.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> RunConfig {
         self.sim.threads = threads;

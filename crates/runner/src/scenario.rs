@@ -30,7 +30,7 @@ pub struct Scenario {
     pub workload: WorkloadSpec,
     /// Algorithm seeds to sweep (one report per seed).
     pub seeds: Range<u64>,
-    /// Worker threads (`0` = sequential engine); never observable in
+    /// Worker threads (`0` and `1` = one shard); never observable in
     /// the reports, per the engine's determinism contract.
     pub threads: usize,
     /// Collect per-round time series into every report.
@@ -41,7 +41,7 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A scenario with one seed (0), sequential engine, no round
+    /// A scenario with one seed (0), one shard (`threads` 0), no round
     /// collection.
     pub fn new(algo: impl Into<String>, workload: WorkloadSpec) -> Scenario {
         Scenario {

@@ -134,9 +134,9 @@ pub mod baselines {
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use congest_sim::{
-        run_auto, run_auto_observed, run_parallel, run_parallel_with_scratch, AdversarySchedule,
-        ChannelModel, EnergyHistogram, EngineProbes, EngineStats, Metrics, ParScratch, RoundEvent,
-        RoundLog, RoundObserver, SimConfig, SleepWindow, Telemetry,
+        run, run_observed, run_with_scratch, AdversarySchedule, ChannelModel, EnergyHistogram,
+        EngineProbes, EngineScratch, EngineStats, Metrics, RoundEvent, RoundLog, RoundObserver,
+        SimConfig, SleepWindow, Telemetry,
     };
     pub use energy_mis::alg1::{run_algorithm1_observed, run_algorithm1_with};
     pub use energy_mis::alg2::{run_algorithm2_observed, run_algorithm2_with};

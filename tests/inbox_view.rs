@@ -11,7 +11,7 @@
 //! `count` / `is_empty` / `first` accessors with its iteration.
 
 use congest_sim::{
-    run_auto, run_with_scratch, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi,
+    run, run_with_scratch, EngineScratch, Inbox, InitApi, NodeId, Protocol, RecvApi, SendApi,
     SimConfig,
 };
 use mis_graphs::{generators, Graph};
@@ -111,7 +111,7 @@ fn model_inbox(g: &Graph, v: NodeId, r: u64) -> Vec<(u64, NodeId, u64)> {
 
 fn check_graph(g: &Graph, threads: usize) {
     let cfg = SimConfig::seeded(1).with_threads(threads);
-    let res = run_auto(g, &Recorder, &cfg).unwrap();
+    let res = run(g, &Recorder, &cfg).unwrap();
     for v in g.nodes() {
         let expected: Trace = (0..ROUNDS)
             .filter(|&r| awake(v, r))
@@ -161,17 +161,17 @@ proptest! {
 }
 
 /// The scratch no longer carries a per-node inbox buffer — delivery
-/// borrows from the edge slots in place. `FIXED_BUFFERS` pins the buffer
-/// count (the slice-era scratch had one more), and the capacity
+/// borrows from the edge slots in place. `FIXED_BUFFERS` pins the
+/// per-shard buffer count (9, none of them an inbox), and the capacity
 /// signature proves reuse still allocates nothing in steady state even
 /// for this broadcast-heavy recorder.
 #[test]
 fn scratch_has_no_inbox_buffer_and_reuse_is_allocation_free() {
-    assert_eq!(EngineScratch::<u64>::FIXED_BUFFERS, 6);
+    assert_eq!(EngineScratch::<u64>::FIXED_BUFFERS, 9);
     let mut rng = SmallRng::seed_from_u64(9);
     let g = generators::gnp(256, 12.0 / 256.0, &mut rng);
     let cfg = SimConfig::seeded(4);
-    let mut scratch = EngineScratch::new(&g);
+    let mut scratch = EngineScratch::new(&g, cfg.threads);
     let first = run_with_scratch(&g, &Recorder, &cfg, &mut scratch).unwrap();
     let warm = scratch.capacity_signature();
     let second = run_with_scratch(&g, &Recorder, &cfg, &mut scratch).unwrap();

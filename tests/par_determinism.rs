@@ -1,5 +1,5 @@
-//! Property test: the sharded parallel engine is observationally
-//! indistinguishable from the sequential engine on random instances.
+//! Property test: a run on `k` worker shards is observationally
+//! indistinguishable from the one-shard run on random instances.
 //!
 //! For random `G(n, p)` and random `d`-regular graphs, Luby and both of
 //! the paper's algorithms must produce identical `Metrics` and identical
@@ -88,7 +88,7 @@ proptest! {
     /// a Barabási–Albert graph concentrates its heavy tail the same way.
     /// At 2, 4, and 8 shards — including shards that end up with zero or
     /// one node — metrics, final states, and the full per-round observer
-    /// stream must stay bit-identical to the sequential engine, and the
+    /// stream must stay bit-identical to the one-shard run, and the
     /// one-barrier loop must terminate (a skew-induced deadlock would
     /// hang this test, not fail an assertion).
     #[test]

@@ -1,7 +1,7 @@
 //! Telemetry's determinism contract, end to end: for a fixed
 //! `(algorithm, graph, seed)` the artifact's deterministic sections —
-//! `counters` and `histograms` — are bit-identical across the
-//! sequential engine and every sharded thread count, while the
+//! `counters` and `histograms` — are bit-identical across every
+//! thread count, one shard and sharded alike, while the
 //! quarantined sections (`engine`, `timings_ns`) are allowed to differ.
 //! And when telemetry is *off* (the default), runs carry no artifact at
 //! all and the engine's steady-state allocation profile is untouched.
@@ -167,7 +167,7 @@ fn probe_counting_is_allocation_free_in_steady_state() {
         .unwrap()
         .build();
     let cfg = SimConfig::seeded(5);
-    let mut scratch = EngineScratch::new(&g);
+    let mut scratch = EngineScratch::new(&g, cfg.threads);
     let first = run_with_scratch(&g, &Ping, &cfg, &mut scratch).unwrap();
     let warm = scratch.capacity_signature();
     let second = run_with_scratch(&g, &Ping, &cfg, &mut scratch).unwrap();
