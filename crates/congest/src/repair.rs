@@ -5,7 +5,7 @@
 //! only nodes whose MIS status is actually in question need to wake;
 //! everyone else keeps sleeping at zero awake cost. [`plan_repair`]
 //! computes that set *before* any simulation, in work proportional to
-//! the edited neighborhood:
+//! the edited neighborhood (plus one bulk copy of the MIS bitmap):
 //!
 //! 1. **Demotions.** For every added edge joining two MIS nodes, the
 //!    larger id is demoted. The *retained* set (old MIS minus demotions
@@ -84,12 +84,18 @@ impl RepairPlan {
     }
 }
 
-/// Plans the repair of `in_mis` (a valid MIS of the pre-batch topology,
-/// indexed by pre-batch ids) after `applied` edits on `dg`.
+/// Plans the repair of `in_mis` after `applied` edits on `dg`.
 ///
-/// Runs in `O(Σ degree)` over the edited neighborhood — never `O(n)` —
-/// and performs no simulation; feed [`RepairPlan::sub`] to any MIS
-/// protocol and [`RepairPlan::merge`] the result.
+/// `in_mis` must be a valid MIS of the pre-batch topology, indexed by
+/// pre-batch ids: ids past its end (nodes the batch added) read as not
+/// in the set, and an entry for an id dead in `dg` is ignored — such an
+/// id never reaches [`RepairPlan::retained`] or the merged set.
+///
+/// Cost: one `O(n)` bulk copy of `in_mis` masked by liveness (the
+/// returned [`RepairPlan::retained`] bitmap), otherwise
+/// `O(Σ degree)` over the edited neighborhood. It performs no
+/// simulation; feed [`RepairPlan::sub`] to any MIS protocol and
+/// [`RepairPlan::merge`] the result.
 ///
 /// # Errors
 ///
@@ -119,13 +125,16 @@ pub fn plan_repair(
     }
     demoted_set.sort_unstable();
     demoted_set.dedup();
-    let is_demoted = |v: NodeId| demoted_set.binary_search(&v).is_ok();
 
-    // 2. Retained = old MIS ∩ alive − demoted.
-    let mut retained = vec![false; n];
-    for (v, slot) in retained.iter_mut().enumerate() {
-        let v = v as NodeId;
-        *slot = was_mis(v) && dg.is_alive(v) && !is_demoted(v);
+    // 2. Retained = old MIS ∩ alive − demoted: a bulk copy masked by
+    // liveness, then the few demotions cleared.
+    let mut retained = in_mis.to_vec();
+    retained.resize(n, false);
+    for (r, &alive) in retained.iter_mut().zip(dg.alive()) {
+        *r &= alive;
+    }
+    for &d in &demoted_set {
+        retained[d as usize] = false;
     }
 
     // 3. Candidates: touched endpoints ∪ demoted ∪ N(demoted).

@@ -19,7 +19,6 @@
 //! (which nodes appeared/died, which edges toggled, every endpoint
 //! touched) that the repair planner turns into the affected set.
 
-use crate::builder::GraphBuilder;
 use crate::graph::{Graph, NodeId};
 use crate::partition::Partition;
 use std::collections::{BTreeMap, BTreeSet};
@@ -233,6 +232,8 @@ pub struct DeltaGraph {
     base: Graph,
     /// Liveness per id in `0..n`; dead ids never revive.
     alive: Vec<bool>,
+    /// Number of `true` entries in `alive`, kept by `apply_edit`.
+    live: usize,
     /// Overlay-added adjacency, symmetric (`u → v` and `v → u`).
     added: BTreeMap<NodeId, BTreeSet<NodeId>>,
     /// Base edges removed by the overlay, symmetric.
@@ -253,6 +254,7 @@ impl DeltaGraph {
         DeltaGraph {
             base,
             alive: vec![true; n],
+            live: n,
             added: BTreeMap::new(),
             removed: BTreeMap::new(),
             n,
@@ -271,9 +273,14 @@ impl DeltaGraph {
         self.m
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes (O(1): a counter kept as edits apply).
     pub fn live_nodes(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.live
+    }
+
+    /// Liveness flag per id in `0..n()` (dead ids read `false`).
+    pub fn alive(&self) -> &[bool] {
+        &self.alive
     }
 
     /// Whether `v` is a live node of the current topology.
@@ -394,6 +401,7 @@ impl DeltaGraph {
             Edit::AddNode => {
                 let id = self.n as NodeId;
                 self.alive.push(true);
+                self.live += 1;
                 self.n += 1;
                 self.overlay_edits += 1;
                 applied.added_nodes.push(id);
@@ -405,6 +413,7 @@ impl DeltaGraph {
                     applied.removed_edges.push((v, w));
                 }
                 self.alive[v as usize] = false;
+                self.live -= 1;
                 self.overlay_edits += 1;
                 applied.removed_nodes.push(v);
             }
@@ -496,16 +505,19 @@ impl DeltaGraph {
     /// touching the overlay. Dead ids become isolated nodes, so bitmaps
     /// indexed by the `DeltaGraph` id space apply to the snapshot
     /// unchanged.
+    ///
+    /// Each [`for_each_neighbor`](DeltaGraph::for_each_neighbor) list is
+    /// already sorted, duplicate-free and symmetric, so the lists are
+    /// laid out as the CSR directly — `O(n + m)`, no edge-list sort.
     pub fn snapshot(&self) -> Graph {
-        let mut b = GraphBuilder::with_capacity(self.n, self.m);
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        let mut adj = Vec::with_capacity(2 * self.m);
+        offsets.push(0);
         for v in 0..self.n as NodeId {
-            self.for_each_neighbor(v, |w| {
-                if v < w {
-                    b.add_edge(v, w);
-                }
-            });
+            self.for_each_neighbor(v, |w| adj.push(w));
+            offsets.push(adj.len());
         }
-        b.build()
+        Graph::from_sorted_csr(offsets, adj)
     }
 
     /// Rebuilds the base CSR from the current topology and clears the
@@ -768,45 +780,45 @@ mod tests {
         assert!(!c.independent);
     }
 
+    /// Draws six random edits, keeps those valid in sequence (probed on
+    /// a clone), applies the kept batch to `dg` and returns it.
+    fn apply_random_batch(dg: &mut DeltaGraph, rng: &mut SmallRng) -> EditBatch {
+        let mut probe = dg.clone();
+        let mut b = EditBatch::new();
+        for _ in 0..6 {
+            let n = probe.n() as u32;
+            let u = rng.gen_range(0..n);
+            let edit = match rng.gen_range(0..4u32) {
+                0 => Edit::AddNode,
+                1 => Edit::RemoveNode(u),
+                2 => Edit::AddEdge(u, rng.gen_range(0..n)),
+                _ => match probe.neighbors(u)[..] {
+                    [] => Edit::RemoveEdge(u, rng.gen_range(0..n)),
+                    ref nb => Edit::RemoveEdge(u, nb[rng.gen_range(0..nb.len())]),
+                },
+            };
+            let one: EditBatch = [edit].into_iter().collect();
+            if probe.apply(&one).is_ok() {
+                b.edits.push(edit);
+            }
+        }
+        dg.apply(&b).unwrap();
+        b
+    }
+
     /// Random edit storms: the overlay's view must equal an
-    /// edge-list-rebuilt graph after every batch, and compaction must be
-    /// a no-op on the topology.
+    /// edge-list-rebuilt graph after every batch, compaction must be a
+    /// no-op on the topology, and the live-node counter must equal a
+    /// direct count throughout.
     #[test]
     fn overlay_matches_rebuilt_graph_under_random_churn() {
         let mut rng = SmallRng::seed_from_u64(42);
         let g = generators::gnp(48, 0.12, &mut rng);
         let mut dg = delta(g);
+        let direct_live = |dg: &DeltaGraph| (0..dg.n() as u32).filter(|&v| dg.is_alive(v)).count();
         for round in 0..30 {
-            let mut b = EditBatch::new();
-            for _ in 0..6 {
-                match rng.gen_range(0..4u32) {
-                    0 => {
-                        b.add_node();
-                    }
-                    1 => {
-                        // Remove a random live node (probe on a clone to
-                        // stay valid against earlier edits of the batch).
-                        let v = rng.gen_range(0..dg.n() as u32);
-                        b.remove_node(v);
-                    }
-                    2 => {
-                        let u = rng.gen_range(0..dg.n() as u32);
-                        let v = rng.gen_range(0..dg.n() as u32);
-                        b.add_edge(u, v);
-                    }
-                    _ => {
-                        let u = rng.gen_range(0..dg.n() as u32);
-                        let v = rng.gen_range(0..dg.n() as u32);
-                        b.remove_edge(u, v);
-                    }
-                }
-            }
-            // Apply on a clone first: keep only batches that are fully
-            // valid (fail-fast leaves a prefix applied otherwise).
-            let mut probe = dg.clone();
-            if probe.apply(&b).is_ok() {
-                dg.apply(&b).unwrap();
-            }
+            let _ = apply_random_batch(&mut dg, &mut rng);
+            assert_eq!(dg.live_nodes(), direct_live(&dg), "round {round}");
             let snap = dg.snapshot();
             assert_eq!(snap.n(), dg.n(), "round {round}");
             assert_eq!(snap.m(), dg.m(), "round {round}");
@@ -815,13 +827,47 @@ mod tests {
             }
             if round % 10 == 9 {
                 let before = dg.snapshot();
-                dg.compact();
+                let stats = dg.compact();
                 assert_eq!(dg.snapshot(), before, "round {round}");
+                assert_eq!(dg.live_nodes(), direct_live(&dg), "round {round}");
+                assert_eq!(stats.live_nodes, dg.live_nodes(), "round {round}");
             }
         }
         // Dead nodes never hold edges; live subgraph is consistent.
         let snap = dg.snapshot();
         let comps = props::connected_components(&snap);
         assert!(comps.count >= 1);
+    }
+
+    /// The direct-CSR [`DeltaGraph::snapshot`] equals the builder path,
+    /// [`Graph::from_edges`] over an independently kept edge list, as a
+    /// whole graph (offsets, adjacency and reverse-edge table) — under
+    /// random churn and after every compaction.
+    #[test]
+    fn snapshot_equals_from_edges_under_random_churn() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let g = generators::gnp(64, 0.1, &mut rng);
+        let mut edges: BTreeSet<(NodeId, NodeId)> = g.edges().collect();
+        let mut dg = delta(g);
+        let key = |(u, v): (NodeId, NodeId)| (u.min(v), u.max(v));
+        for round in 0..60 {
+            // Replay the batch on a plain edge list, edit by edit.
+            for &edit in apply_random_batch(&mut dg, &mut rng).edits() {
+                match edit {
+                    Edit::AddNode => {}
+                    Edit::RemoveNode(v) => edges.retain(|&(a, b)| a != v && b != v),
+                    Edit::AddEdge(u, v) => assert!(edges.insert(key((u, v)))),
+                    Edit::RemoveEdge(u, v) => assert!(edges.remove(&key((u, v)))),
+                }
+            }
+            let list: Vec<(NodeId, NodeId)> = edges.iter().copied().collect();
+            let built = Graph::from_edges(dg.n(), &list).unwrap();
+            assert_eq!(dg.snapshot(), built, "round {round}");
+            if round % 10 == 9 {
+                dg.compact();
+                assert_eq!(dg.base(), &built, "round {round}");
+                assert_eq!(dg.snapshot(), built, "round {round}");
+            }
+        }
     }
 }

@@ -138,25 +138,31 @@ impl Graph {
             }
             clean_offsets.push(clean_adj.len());
         }
+        Ok(Graph::from_sorted_csr(clean_offsets, clean_adj))
+    }
+
+    /// Finishes a CSR whose adjacency lists are already sorted, free of
+    /// duplicates and self-loops, and symmetric (`u` in `v`'s list iff
+    /// `v` in `u`'s): computes the reverse-edge table. The one CSR
+    /// finishing step shared by [`Graph::from_edges`] and
+    /// `DeltaGraph::snapshot`.
+    pub(crate) fn from_sorted_csr(offsets: Vec<usize>, adj: Vec<NodeId>) -> Graph {
+        let n = offsets.len() - 1;
         // Reverse-edge table. Sweeping targets in ascending source order
         // visits each node's adjacency list front to back, so a running
         // per-node cursor yields the position of the opposite slot in
         // O(m) total.
-        let mut rev = vec![0 as EdgeId; clean_adj.len()];
+        let mut rev = vec![0 as EdgeId; adj.len()];
         let mut seen = vec![0usize; n];
         for u in 0..n {
-            for j in clean_offsets[u]..clean_offsets[u + 1] {
-                let v = clean_adj[j] as usize;
-                rev[j] = clean_offsets[v] + seen[v];
+            for j in offsets[u]..offsets[u + 1] {
+                let v = adj[j] as usize;
+                rev[j] = offsets[v] + seen[v];
                 seen[v] += 1;
             }
         }
         debug_assert!((0..rev.len()).all(|e| rev[rev[e]] == e));
-        Ok(Graph {
-            offsets: clean_offsets,
-            adj: clean_adj,
-            rev,
-        })
+        Graph { offsets, adj, rev }
     }
 
     /// Number of nodes.

@@ -161,3 +161,93 @@ fn repair_awake_work_scales_with_affected_not_n() {
         stats.max_affected
     );
 }
+
+/// The planner as it stood before the bulk-copy `retained`: the retired
+/// per-node `O(n)` formula, with the undecided set and the induced
+/// subgraph taken by brute force over every node.
+fn reference_plan(
+    dg: &DeltaGraph,
+    applied: &mis_graphs::AppliedBatch,
+    in_mis: &[bool],
+) -> (Vec<bool>, Vec<u32>, Vec<u32>, Graph) {
+    let n = dg.n();
+    let was_mis = |v: u32| in_mis.get(v as usize).copied().unwrap_or(false);
+    let mut demoted: Vec<u32> = applied
+        .added_edges
+        .iter()
+        .filter(|&&(u, v)| was_mis(u) && was_mis(v) && dg.has_edge(u, v))
+        .map(|&(u, v)| u.max(v))
+        .collect();
+    demoted.sort_unstable();
+    demoted.dedup();
+    let retained: Vec<bool> = (0..n as u32)
+        .map(|v| was_mis(v) && dg.is_alive(v) && demoted.binary_search(&v).is_err())
+        .collect();
+    let undecided: Vec<u32> = (0..n as u32)
+        .filter(|&v| {
+            dg.is_alive(v)
+                && !retained[v as usize]
+                && dg.neighbors(v).iter().all(|&w| !retained[w as usize])
+        })
+        .collect();
+    let mut b = GraphBuilder::new(undecided.len());
+    for (i, &u) in undecided.iter().enumerate() {
+        for (j, &v) in undecided.iter().enumerate().skip(i + 1) {
+            if dg.has_edge(u, v) {
+                b.add_edge(i as u32, j as u32);
+            }
+        }
+    }
+    (retained, demoted, undecided, b.build())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `plan_repair` equals the retired `O(n)` planner on every batch of
+    /// random churn streams over gnp and regular bases — including
+    /// inputs whose `in_mis` marks an id that was already dead before
+    /// the batch, which both must drop: the merged set never holds a
+    /// dead node.
+    #[test]
+    fn planner_matches_the_retired_per_node_formula(
+        fam in 0u32..2,
+        n in 48usize..160,
+        batches in 1u32..8,
+        ops in 1u32..12,
+        seed in 0u64..500,
+    ) {
+        let base = match fam {
+            0 => format!("gnp:n={n},deg=6,seed=2"),
+            _ => format!("regular:n={n},d=6,seed=2"),
+        };
+        let spec: WorkloadSpec =
+            format!("edits:base={base};batches={batches};ops={ops};seed={seed}")
+                .parse()
+                .unwrap();
+        let g = spec.build();
+        let mut in_mis = greedy_mis(&g);
+        let mut dg = DeltaGraph::new(g);
+        let mut stream = ChurnStream::new(spec.churn.unwrap());
+        for b in 0..batches {
+            // Mark every id dead before this batch as "in the MIS".
+            for (v, slot) in in_mis.iter_mut().enumerate() {
+                if !dg.is_alive(v as u32) {
+                    *slot = true;
+                }
+            }
+            let applied = stream.next_batch(&mut dg).unwrap();
+            let plan = congest_sim::plan_repair(&dg, &applied, &in_mis).unwrap();
+            let (retained, demoted, undecided, sub) = reference_plan(&dg, &applied, &in_mis);
+            prop_assert_eq!(&plan.retained, &retained, "batch {}", b);
+            prop_assert_eq!(&plan.demoted, &demoted, "batch {}", b);
+            prop_assert_eq!(&plan.undecided, &undecided, "batch {}", b);
+            prop_assert_eq!(&plan.sub, &sub, "batch {}", b);
+            in_mis = plan.merge(&greedy_mis(&plan.sub));
+            prop_assert!(dg.check_mis(&in_mis).is_mis(), "batch {}", b);
+            for (v, &m) in in_mis.iter().enumerate() {
+                prop_assert!(!m || dg.is_alive(v as u32), "dead node {} merged in", v);
+            }
+        }
+    }
+}
